@@ -3,7 +3,7 @@ vehicles: geometry kernel, velocity-obstacle constraints, a constrained
 differential-evolution solver, vector-field tracking, and a deterministic
 mission simulator."""
 
-from .geometry import (CurveSample, HeadingSpec, NurbsCurve, apply_delta,
+from .geometry import (HeadingSpec, NurbsCurve, apply_delta,
                        build_path_with_headings, clamped_uniform_knots,
                        neutral_delta)
 from .lshade import Individual, OptimizerConfig, ProblemDef, optimize

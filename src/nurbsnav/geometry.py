@@ -117,19 +117,100 @@ def _basis_diff(prev: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:
     return degree * (prev[:, :m] * inv1 - prev[:, 1: 1 + m] * inv2)
 
 
+def basis_matrices(knots: np.ndarray, degree: int, s: np.ndarray,
+                   order: int = 2) -> list:
+    """Basis matrices [B, B', B''][: order + 1] at the parameters s.
+
+    Each has shape (len(s), n_points), so B @ H gives the homogeneous
+    curve (or its derivative) for homogeneous control points H. B'' is
+    None for degree-1 curves.
+    """
+    tables = _basis_tables(knots, degree, s)
+    out = [tables[degree]]
+    if order >= 1:
+        out.append(_basis_diff(tables[degree - 1], knots, degree))
+    if order >= 2:
+        out.append(None if degree < 2 else _basis_diff(
+            _basis_diff(tables[degree - 2], knots, degree - 1), knots, degree))
+    return out
+
+
+def rational_derivatives(hom: list) -> list:
+    """Cartesian derivatives [C, C', C''] from homogeneous ones.
+
+    hom[k] is the k-th derivative of (w x, w y, w), components on the
+    first axis (shape (3, ...)); the quotient rule gives the rational
+    curve, components first (shape (2, ...)). A None second derivative
+    (degree-1 curves) yields zero C''.
+    """
+    denom = hom[0][2]
+    c0 = hom[0][:2] / denom
+    out = [c0]
+    if len(hom) > 1:
+        d1 = hom[1][2]
+        c1 = (hom[1][:2] - c0 * d1) / denom
+        out.append(c1)
+    if len(hom) > 2:
+        if hom[2] is None:
+            out.append(np.zeros_like(c0))
+        else:
+            out.append((hom[2][:2] - 2.0 * c1 * d1 - c0 * hom[2][2]) / denom)
+    return out
+
+
+def curvature_values(c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unsigned curvature |C' x C''| / |C'|^3 from derivatives with
+    components first, and the mask where it is defined (tangent norm
+    above EPS_TANGENT); zero elsewhere."""
+    speed2 = c1[0] * c1[0] + c1[1] * c1[1]
+    cross = c1[0] * c2[1] - c1[1] * c2[0]
+    ok = speed2 > EPS_TANGENT**2
+    kappa = np.where(ok, np.abs(cross) / np.where(ok, speed2, 1.0) ** 1.5, 0.0)
+    return kappa, ok
+
+
 @lru_cache(maxsize=8)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-@dataclass(frozen=True)
-class CurveSample:
-    """Point, tangent (d/ds) and curvature of a curve at parameter s."""
+def arclen_cells(knots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Knot-aligned arc-length grid: cell edges, half widths, and the
+    5-point Gauss-Legendre nodes of every cell (flattened, cell-major)."""
+    edges = np.unique(np.concatenate([knots, np.linspace(0.0, 1.0, 41)]))
+    nodes, _ = _leggauss(5)
+    a = edges[:-1]
+    b = edges[1:]
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return edges, half, (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
 
-    s: float
-    point: np.ndarray
-    tangent: np.ndarray
-    curvature: float
+
+def cumulative_length(half: np.ndarray, speeds: np.ndarray) -> np.ndarray:
+    """Cumulative arc length at the cell edges from the parametric speeds
+    at the arclen_cells nodes; leading axes of `speeds` are kept."""
+    _, wts = _leggauss(5)
+    cell = half * (speeds.reshape(speeds.shape[:-1] + (half.size, 5)) @ wts)
+    zero = np.zeros(speeds.shape[:-1] + (1,))
+    return np.concatenate([zero, np.cumsum(cell, axis=-1)], axis=-1)
+
+
+def invert_length(edges: np.ndarray, cum: np.ndarray,
+                  target: np.ndarray) -> np.ndarray:
+    """Monotone grid interpolant of s(L): for each target arc length the
+    parameter where the piecewise-linear cumulative length reaches it.
+
+    `cum` is (..., len(edges)) and `target` (..., m) with the same leading
+    axes; targets are clipped to [0, total length].
+    """
+    target = np.clip(target, 0.0, cum[..., -1:])
+    # Count of grid lengths <= target, i.e. searchsorted(side="right").
+    idx = np.clip(np.sum(cum[..., None, :] <= target[..., :, None], axis=-1) - 1,
+                  0, len(edges) - 2)
+    lo = np.take_along_axis(cum, idx, axis=-1)
+    hi = np.take_along_axis(cum, idx + 1, axis=-1)
+    frac = np.where(hi > lo, (target - lo) / np.maximum(hi - lo, 1e-300), 0.0)
+    return edges[idx] + frac * (edges[idx + 1] - edges[idx])
 
 
 @dataclass(frozen=True)
@@ -192,31 +273,16 @@ class NurbsCurve:
         """
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         self._check_params(s_arr)
-        tables = _basis_tables(self.knots, self.degree, s_arr)
-        basis = tables[self.degree]
-        w = self.weights
-        wp = w[:, None] * self.control_points
-        denom = basis @ w
-        num = basis @ wp
-        c0 = num / denom[:, None]
-        out = [c0]
-        if order >= 1:
-            b1 = _basis_diff(tables[self.degree - 1], self.knots, self.degree)
-            d1 = b1 @ w
-            n1 = b1 @ wp
-            c1 = (n1 - c0 * d1[:, None]) / denom[:, None]
-            out.append(c1)
-        if order >= 2:
-            if self.degree >= 2:
-                m1 = _basis_diff(tables[self.degree - 2], self.knots, self.degree - 1)
-                b2 = _basis_diff(m1, self.knots, self.degree)
-                d2 = b2 @ w
-                n2 = b2 @ wp
-                c2 = (n2 - 2.0 * c1 * d1[:, None] - c0 * d2[:, None]) / denom[:, None]
-            else:
-                c2 = np.zeros_like(c0)
-            out.append(c2)
-        return tuple(out)
+        hom = self.homogeneous
+        mats = basis_matrices(self.knots, self.degree, s_arr, order)
+        return tuple(c.T for c in rational_derivatives(
+            [None if b is None else (b @ hom).T for b in mats]))
+
+    @cached_property
+    def homogeneous(self) -> np.ndarray:
+        """Homogeneous control points (w x, w y, w), shape (n, 3)."""
+        return np.column_stack([self.weights[:, None] * self.control_points,
+                                self.weights])
 
     def point(self, s):
         """Evaluate C(s). Scalar s gives a (2,) array, arrays give (m, 2)."""
@@ -226,13 +292,9 @@ class NurbsCurve:
         return c0
 
     def _curvature_values(self, s_arr: np.ndarray, derivs=None) -> np.ndarray:
-        c0, c1, c2 = derivs if derivs is not None \
+        _, c1, c2 = derivs if derivs is not None \
             else self.derivatives(s_arr, order=2)
-        speed2 = np.einsum("ij,ij->i", c1, c1)
-        cross = c1[:, 0] * c2[:, 1] - c1[:, 1] * c2[:, 0]
-        kappa = np.zeros_like(speed2)
-        ok = speed2 > EPS_TANGENT**2
-        kappa[ok] = np.abs(cross[ok]) / speed2[ok] ** 1.5
+        kappa, ok = curvature_values(c1.T, c2.T)
         # Parametric slowdowns: take the larger curvature from a symmetric
         # offset instead of dividing by a vanishing tangent.
         for i in np.nonzero(~ok)[0]:
@@ -241,14 +303,6 @@ class NurbsCurve:
             kappa[i] = max(self._curvature_values(np.array([lo]))[0],
                            self._curvature_values(np.array([hi]))[0])
         return kappa
-
-    def sample(self, s: float) -> CurveSample:
-        """Point, first derivative and curvature at a single parameter."""
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        c0, c1, _ = self.derivatives(s_arr, order=2)
-        kappa = self._curvature_values(s_arr)
-        return CurveSample(s=float(s_arr[0]), point=c0[0], tangent=c1[0],
-                           curvature=float(kappa[0]))
 
     def curvatures(self, s) -> np.ndarray:
         """Curvature values for an array of parameters."""
@@ -306,17 +360,8 @@ class NurbsCurve:
     @cached_property
     def _arclen_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Cumulative arc length on a knot-aligned grid (5-pt GL per cell)."""
-        edges = np.unique(np.concatenate([self.knots, np.linspace(0.0, 1.0, 41)]))
-        nodes, wts = _leggauss(5)
-        a = edges[:-1]
-        b = edges[1:]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        speeds = self._speed(pts).reshape(len(a), len(nodes))
-        cell = half * (speeds @ wts)
-        cum = np.concatenate([[0.0], np.cumsum(cell)])
-        return edges, cum
+        edges, half, pts = arclen_cells(self.knots)
+        return edges, cumulative_length(half, self._speed(pts))
 
     def length_from_start(self, s) -> np.ndarray | float:
         """Accurate L(s) = arc_length(0, s) via the cached grid."""
@@ -351,18 +396,26 @@ class NurbsCurve:
         tgt = np.atleast_1d(np.asarray(target, dtype=float))
         edges, cum = self._arclen_grid
         tgt = np.clip(tgt, 0.0, cum[-1])
-        idx = np.clip(np.searchsorted(cum, tgt, side="right") - 1,
-                      0, len(edges) - 2)
-        frac = np.where(cum[idx + 1] > cum[idx],
-                        (tgt - cum[idx]) / np.maximum(cum[idx + 1] - cum[idx], 1e-300),
-                        0.0)
-        s = edges[idx] + frac * (edges[idx + 1] - edges[idx])
+        s = invert_length(edges, cum, tgt)
         if polish:
             for _ in range(3):
                 resid = np.atleast_1d(self.length_from_start(s)) - tgt
                 speed = np.maximum(self._speed(s), 1e-12)
                 s = np.clip(s - resid / speed, 0.0, 1.0)
         return float(s[0]) if scalar else s
+
+    @cached_property
+    def _end_spacing(self) -> tuple[float | None, float | None]:
+        """Spacing factors (lam1, lam2) of a heading-path layout, each None
+        once its endpoint triple has lost the regular form (see
+        apply_delta)."""
+        pts = self.control_points
+        n = pts.shape[0]
+        lam1 = float(np.linalg.norm(pts[1] - pts[0]))
+        lam2 = float(np.linalg.norm(pts[-1] - pts[-2]))
+        return (lam1 if lam1 > 0.0 and _regular_triple(pts[0], pts[1:4]) else None,
+                lam2 if lam2 > 0.0 and _regular_triple(pts[-1], pts[n - 4: n - 1][::-1])
+                else None)
 
     # -- projection -------------------------------------------------------
 
@@ -417,8 +470,7 @@ class NurbsCurve:
         if not (0.0 < s_cut < 1.0):
             raise ValueError("split parameter must be strictly inside (0, 1)")
         p = self.degree
-        hom = np.column_stack([self.weights[:, None] * self.control_points,
-                               self.weights])
+        hom = self.homogeneous
         t = np.array(self.knots, dtype=float)
         mult = int(np.sum(np.abs(t - s_cut) < 1e-12))
         if mult:
@@ -592,6 +644,34 @@ def _regular_triple(anchor: np.ndarray, triple: np.ndarray) -> bool:
             and np.linalg.norm(triple[2] - triple[1] - step) <= tol)
 
 
+def _vary(base: NurbsCurve, deltas: np.ndarray, lower, upper
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Control points (P, n, 2) and weights (P, n) of P variations."""
+    n = base.control_points.shape[0]
+    n_mov = n - 8
+    if lower is not None:
+        deltas = np.clip(deltas, np.asarray(lower, dtype=float),
+                         np.asarray(upper, dtype=float))
+    n_var = deltas.shape[0]
+    pts = np.repeat(base.control_points[None], n_var, axis=0)
+    w = np.repeat(base.weights[None], n_var, axis=0)
+    if n_mov:
+        pts[:, 4: 4 + n_mov] += deltas[:, : 2 * n_mov].reshape(n_var, n_mov, 2)
+        w[:, 4: 4 + n_mov] = np.clip(w[:, 4: 4 + n_mov]
+                                     + deltas[:, 2 * n_mov: 3 * n_mov], W_MIN, W_MAX)
+
+    src = base.control_points
+    for lam, base_lam, anchor, triple in (
+            (deltas[:, -2], base._end_spacing[0], 0, slice(1, 4)),
+            (deltas[:, -1], base._end_spacing[1], n - 1, slice(n - 4, n - 1))):
+        if base_lam is None:
+            continue
+        rows = (lam > 0.0) & (lam != base_lam)
+        pts[rows, triple] = src[anchor] + (lam[rows] / base_lam)[:, None, None] \
+            * (src[triple] - src[anchor])
+    return pts, w
+
+
 def apply_delta(base: NurbsCurve, delta, lower=None, upper=None) -> NurbsCurve:
     """Apply a plan variation [dP, dw, lam1, lam2] to a heading path.
 
@@ -609,31 +689,22 @@ def apply_delta(base: NurbsCurve, delta, lower=None, upper=None) -> NurbsCurve:
     n = base.control_points.shape[0]
     if n < 8:
         raise ValueError("curve too short to carry a heading-path layout")
-    n_mov = n - 8
-    dim = 3 * n_mov + 2
+    dim = 3 * (n - 8) + 2
     if delta.shape != (dim,):
         raise ValueError(f"delta must have dimension {dim}, got {delta.shape}")
-    if lower is not None:
-        delta = np.clip(delta, np.asarray(lower, dtype=float),
-                        np.asarray(upper, dtype=float))
-    d_pts = delta[: 2 * n_mov].reshape(n_mov, 2)
-    d_w = delta[2 * n_mov: 3 * n_mov]
-    lam1, lam2 = float(delta[-2]), float(delta[-1])
-
-    pts = np.array(base.control_points)
-    w = np.array(base.weights)
-    if n_mov:
-        pts[4: 4 + n_mov] += d_pts
-        w[4: 4 + n_mov] = np.clip(w[4: 4 + n_mov] + d_w, W_MIN, W_MAX)
-
-    lam1_base = float(np.linalg.norm(pts[1] - pts[0]))
-    if lam1 > 0.0 and lam1 != lam1_base and lam1_base > 0.0 \
-            and _regular_triple(pts[0], pts[1:4]):
-        pts[1:4] = pts[0] + (lam1 / lam1_base) * (pts[1:4] - pts[0])
-    lam2_base = float(np.linalg.norm(pts[-1] - pts[-2]))
-    if lam2 > 0.0 and lam2 != lam2_base and lam2_base > 0.0 \
-            and _regular_triple(pts[-1], pts[n - 4: n - 1][::-1]):
-        pts[n - 4: n - 1] = pts[-1] + (lam2 / lam2_base) * (pts[n - 4: n - 1] - pts[-1])
-
-    return NurbsCurve(degree=base.degree, control_points=pts, weights=w,
+    pts, w = _vary(base, delta[None], lower, upper)
+    return NurbsCurve(degree=base.degree, control_points=pts[0], weights=w[0],
                       knots=np.array(base.knots))
+
+
+def apply_delta_batch(base: NurbsCurve, deltas: np.ndarray, lower,
+                      upper) -> np.ndarray:
+    """apply_delta for a (P, dim) array of variations at once.
+
+    Returns the homogeneous control points (w x, w y, w) as a (P, n, 3)
+    tensor; every variation keeps the base knot vector, so its basis is
+    the base curve's. Row p equals apply_delta(base, deltas[p], lower,
+    upper).homogeneous.
+    """
+    pts, w = _vary(base, np.asarray(deltas, dtype=float), lower, upper)
+    return np.concatenate([w[..., None] * pts, w[..., None]], axis=-1)

@@ -3,14 +3,18 @@ reduction and feasibility-rule constraint handling.
 
 current-to-pbest/1 mutation with an external archive, binomial crossover,
 Cauchy/normal parameter sampling around a circular success memory, and Deb
-feasibility rules for selection. Supports both a fixed evaluation budget
-(deterministic) and a wall-clock deadline checked between evaluations.
+feasibility rules for selection. Generation-synchronous: every trial of a
+generation is drawn from the same population and archive, the trials are
+evaluated as one batch, and selection, archive and success-memory updates
+follow. Supports both a fixed evaluation budget (deterministic, ending at
+exactly the budget) and a wall-clock deadline checked between chunks of a
+generation's batch.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +23,18 @@ import numpy as np
 class ProblemDef:
     """Box-bounded problem with an objective and optional constraint vector.
 
-    `constraints(x)` returns non-negative violation magnitudes; feasibility
-    means every entry is zero. Both callables must be pure.
+    Either `objective(x)` with optional `constraints(x)`, or `batch(X)`
+    evaluating a (P, dimension) array at once and returning objectives (P,)
+    and violations (P, k). Violations are non-negative magnitudes;
+    feasibility means every entry is zero. All callables must be pure.
     """
 
     dimension: int
     lower: np.ndarray
     upper: np.ndarray
-    objective: callable
+    objective: callable = None
     constraints: callable = None
+    batch: callable = None
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
@@ -36,13 +43,27 @@ class ProblemDef:
             raise ValueError("bounds must match the problem dimension")
         if np.any(self.lower >= self.upper):
             raise ValueError("lower bounds must be strictly below upper bounds")
+        if self.objective is None and self.batch is None:
+            raise ValueError("a problem needs an objective or a batch evaluator")
 
     def evaluate(self, x: np.ndarray) -> tuple[float, float]:
+        """Objective and total violation of one candidate (scalar form)."""
         f = float(self.objective(x))
         if self.constraints is None:
             return f, 0.0
         viol = np.asarray(self.constraints(x), dtype=float)
         return f, float(np.sum(viol))
+
+    def evaluate_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Objectives and total violations of a (P, dimension) array.
+
+        Without a batch evaluator this loops over `evaluate`.
+        """
+        if self.batch is not None:
+            f, viol = self.batch(xs)
+            return np.asarray(f, dtype=float), np.sum(viol, axis=1)
+        out = np.array([self.evaluate(x) for x in xs], dtype=float).reshape(-1, 2)
+        return out[:, 0], out[:, 1]
 
 
 @dataclass
@@ -99,18 +120,11 @@ class OptimizerStats:
     evaluations: int = 0
     generations: int = 0
     wall_time: float = 0.0
-    best_f_history: list = field(default_factory=list)
-    best_violation_history: list = field(default_factory=list)
-    pop_size_history: list = field(default_factory=list)
 
 
 def select(parent: Individual, trial: Individual) -> Individual:
     """Deb feasibility rules; the parent wins exact ties."""
     return trial if trial.key() < parent.key() else parent
-
-
-def _better(a: Individual, b: Individual) -> bool:
-    return a.key() < b.key()
 
 
 def generate_trial(target_idx: int, population: list, archive: list,
@@ -177,26 +191,53 @@ def optimize(problem: ProblemDef, config: OptimizerConfig,
              warm_start=None) -> tuple[Individual, OptimizerStats]:
     """Run LSHADE until the budget or deadline is exhausted.
 
-    Deterministic for a fixed seed when no deadline is set. `warm_start`
-    may be one vector or a list of vectors injected into the initial
-    population (clipped to bounds).
+    Deterministic for a fixed seed when no deadline is set; the last
+    generation is cut short so that exactly `budget` candidates are
+    evaluated. With a deadline, each generation's batch is evaluated in
+    chunks sized from the measured cost per candidate so that a chunk
+    started before the deadline overruns it by about one candidate.
+    `warm_start` may be one vector or a list of vectors injected into the
+    initial population (clipped to bounds).
     """
+    start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     dim = problem.dimension
     n_init = config.n_init if config.n_init is not None else 18 * dim
     n_init = max(n_init, config.n_min)
     stats = OptimizerStats()
-    start = time.perf_counter()
-    deadline_hit = False
+    deadline = None if config.deadline is None else start + config.deadline
+    per_candidate = None  # measured wall seconds per candidate
 
-    def out_of_time() -> bool:
-        return config.deadline is not None and \
-            time.perf_counter() - start >= config.deadline
+    def chunk_size(wanted: int) -> int:
+        """Candidates to evaluate next: all of them without a deadline;
+        otherwise a probe of n_min first, then as many as half the time
+        left is expected to cover (at least one); zero past the deadline."""
+        if deadline is None:
+            return wanted
+        left = deadline - time.perf_counter()
+        if left <= 0.0:
+            return 0
+        if per_candidate is None:
+            return min(wanted, config.n_min)
+        return min(wanted, max(1, int(0.5 * left / per_candidate)))
 
-    def evaluate(x: np.ndarray) -> Individual:
-        f, phi = problem.evaluate(x)
-        stats.evaluations += 1
-        return Individual(x=x, f=f, violation=phi)
+    def evaluate(count: int, draw) -> list[Individual]:
+        """Evaluate up to `count` candidates, taking rows [a, b) from
+        draw(a, b) chunk by chunk; fewer when the deadline passes."""
+        nonlocal per_candidate
+        out: list[Individual] = []
+        while len(out) < count:
+            m = chunk_size(count - len(out))
+            if m == 0:
+                break
+            t0 = time.perf_counter()
+            xs = draw(len(out), len(out) + m)
+            f, phi = problem.evaluate_batch(xs)
+            per_candidate = (time.perf_counter() - t0) / m
+            out += [Individual(x=x, f=float(fx), violation=float(px))
+                    for x, fx, px in zip(xs, f, phi)]
+        stats.evaluations += len(out)
+        return out
 
     seeds = []
     if warm_start is not None:
@@ -208,50 +249,52 @@ def optimize(problem: ProblemDef, config: OptimizerConfig,
     for i, w in enumerate(seeds[:n_init]):
         pop_x[i] = w
 
-    population: list[Individual] = []
-    for x in pop_x:
-        if stats.evaluations >= config.budget or out_of_time():
-            deadline_hit = True
-            break
-        population.append(evaluate(x))
+    n_first = min(n_init, config.budget)
+    population = evaluate(n_first, lambda a, b: pop_x[a:b])
     if not population:
         raise RuntimeError("optimizer completed zero evaluations")
+    timed_out = len(population) < n_first
 
     best = min(population, key=lambda ind: ind.key())
     memory = SuccessMemory(size=config.memory_size)
     archive: list[np.ndarray] = []
-    pop_size = len(population)
 
-    while not deadline_hit and stats.evaluations < config.budget:
+    while not timed_out and stats.evaluations < config.budget:
         stats.generations += 1
-        successes = []
-        new_population = list(population)
         n = len(population)
         order = sorted(range(n), key=lambda i: population[i].key())
-        for i in range(n):
-            if stats.evaluations >= config.budget or out_of_time():
-                deadline_hit = True
-                break
-            r = int(rng.integers(memory.size))
-            f_scale = memory.m_f[r] + 0.1 * rng.standard_cauchy()
-            while f_scale <= 0.0:
-                f_scale = memory.m_f[r] + 0.1 * rng.standard_cauchy()
-            f_scale = min(f_scale, 1.0)
-            cr = float(np.clip(rng.normal(memory.m_cr[r], 0.1), 0.0, 1.0))
+        n_trials = min(n, config.budget - stats.evaluations)
+        params: list[tuple[float, float]] = []
 
-            trial_x = generate_trial(i, population, archive, f_scale, cr,
-                                     config.p_best, problem.lower,
-                                     problem.upper, rng, order=order)
-            trial = evaluate(trial_x)
+        def draw_trials(a: int, b: int) -> np.ndarray:
+            rows = []
+            for i in range(a, b):
+                r = int(rng.integers(memory.size))
+                f_scale = memory.m_f[r] + 0.1 * rng.standard_cauchy()
+                while f_scale <= 0.0:
+                    f_scale = memory.m_f[r] + 0.1 * rng.standard_cauchy()
+                f_scale = min(f_scale, 1.0)
+                cr = float(np.clip(rng.normal(memory.m_cr[r], 0.1), 0.0, 1.0))
+                params.append((f_scale, cr))
+                rows.append(generate_trial(i, population, archive, f_scale, cr,
+                                           config.p_best, problem.lower,
+                                           problem.upper, rng, order=order))
+            return np.array(rows)
+
+        trials = evaluate(n_trials, draw_trials)
+        timed_out = len(trials) < n_trials
+
+        successes = []
+        new_population = list(population)
+        for i, trial in enumerate(trials):
             parent = population[i]
-            if _better(trial, parent):
+            if select(parent, trial) is trial:
                 new_population[i] = trial
                 archive.append(parent.x)
                 improvement = parent.violation - trial.violation \
                     if parent.violation != trial.violation else parent.f - trial.f
-                successes.append((f_scale, cr, max(improvement, 1e-300)))
-                if _better(trial, best):
-                    best = trial
+                successes.append((*params[i], max(improvement, 1e-300)))
+                best = select(best, trial)
         population = new_population
 
         max_archive = max(4, int(round(config.archive_rate * len(population))))
@@ -262,11 +305,6 @@ def optimize(problem: ProblemDef, config: OptimizerConfig,
         if pop_size < len(population):
             population.sort(key=lambda ind: ind.key())
             population = population[:pop_size]
-
-        feas_best = min(population, key=lambda ind: ind.key())
-        stats.best_f_history.append(feas_best.f)
-        stats.best_violation_history.append(feas_best.violation)
-        stats.pop_size_history.append(len(population))
 
     stats.wall_time = time.perf_counter() - start
     return best, stats

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import geometry
+from . import geometry, velocity_obstacle
 from .geometry import HeadingSpec, NurbsCurve
 from .lshade import OptimizerConfig, ProblemDef, optimize
 from .tracking import (FieldGains, UavState, VehicleLimits,
@@ -26,6 +26,7 @@ from .velocity_obstacle import path_vo_violation
 from .world import SimLog, World
 
 FEAS_EPS = 1e-12
+GAIN_RTOL = 1e-9  # relative gain below which a variation is not flown
 
 
 class ReplanError(RuntimeError):
@@ -64,7 +65,6 @@ class PlannerConfig:
     budget_mode: bool = False  # True: deterministic, no wall deadline
     disable_vo: bool = False
     disable_curvature: bool = False
-    initial_refine_budget: int = 0  # offline refinement evals, 0 = off
     gains: FieldGains = None  # defaults to beta matched to the turn radius
     optimizer: OptimizerConfig = field(
         default_factory=lambda: OptimizerConfig(budget=512, n_init=40))
@@ -139,22 +139,6 @@ def initial_path(wp_from: Waypoint, wp_to: Waypoint,
                        lam1=lam0, lam2=lam0)
     return geometry.build_path_with_headings(wp_from.position, wp_to.position,
                                              spec, config.n_interior)
-
-
-def refine_initial_path(curve: NurbsCurve, statics, config: PlannerConfig,
-                        seed: int, budget: int) -> NurbsCurve:
-    """Offline refinement against the known map with a larger budget."""
-    lower, upper = delta_bounds(curve, config)
-    cache = _CandidateCache(curve, lower, upper, statics, [], config,
-                            speed=1.0)
-    problem = ProblemDef(dimension=lower.size, lower=lower, upper=upper,
-                         objective=cache.objective,
-                         constraints=cache.constraints)
-    opt_cfg = replace(config.optimizer, budget=budget, deadline=None,
-                      seed=seed)
-    best, _ = optimize(problem, opt_cfg,
-                       warm_start=[geometry.neutral_delta(curve)])
-    return cache.curve_for(best.x)
 
 
 def cut_path_at_projection(curve: NurbsCurve, uav_state: UavState,
@@ -236,49 +220,95 @@ def _verify(candidate: NurbsCurve, statics, dynamics, config: PlannerConfig,
     return bool(np.all(v <= FEAS_EPS)), violations
 
 
-class _CandidateCache:
-    """Shared objective/constraint evaluator memoizing apply_delta per x."""
+class _CycleKernel:
+    """Objective and constraint violations for a batch of candidates.
+
+    Built once per replan cycle on the cut path. apply_delta keeps the knot
+    vector, so every candidate of the cycle shares one B-spline basis: its
+    values and derivatives are tabulated here at the arc-length Gauss nodes
+    and on the curvature grid, and a chunk of P candidates then costs a few
+    B @ H products on the (P, n, 3) homogeneous control points. Agrees with
+    apply_delta + total_length + constraint_violations to rounding.
+    """
 
     def __init__(self, base: NurbsCurve, lower, upper, statics, dynamics,
                  config: PlannerConfig, speed: float):
         self.base = base
         self.lower = lower
         self.upper = upper
-        self.statics = list(statics)
-        self.dynamics = list(dynamics)
         self.config = config
         self.speed = speed
-        self._cache: dict[bytes, tuple] = {}
+        knots, degree = base.knots, base.degree
+        self.edges, self.half, gl_nodes = geometry.arclen_cells(knots)
+        self.gl_basis = geometry.basis_matrices(knots, degree, gl_nodes, 1)
+        self.curv_grid = np.linspace(0.0, 1.0, config.n_curv_samples)
+        self.curv_basis = geometry.basis_matrices(knots, degree,
+                                                  self.curv_grid, 2)
+        statics = list(statics)
+        self.centers = np.array([s.center for s in statics]).reshape(-1, 2)
+        self.clearance = np.array([s.radius + config.r_safe + config.r_u
+                                   for s in statics])
+        # Static clearance reuses the curvature-grid positions when the
+        # densities coincide.
+        self.obs_basis = None
+        if statics and config.n_obs_samples != config.n_curv_samples:
+            self.obs_basis = geometry.basis_matrices(
+                knots, degree, np.linspace(0.0, 1.0, config.n_obs_samples), 0)
+        self.movers = None
+        if not config.disable_vo and dynamics:
+            self.movers = velocity_obstacle.obstacle_arrays(
+                dynamics, config.r_u + config.r_safe)
 
-    def _entry(self, x: np.ndarray) -> tuple:
-        key = np.asarray(x, dtype=float).tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            if len(self._cache) > 4096:
-                self._cache.clear()
-            curve = geometry.apply_delta(self.base, x, self.lower, self.upper)
-            hit = [curve, None, None]
-            self._cache[key] = hit
-        return hit
+    @staticmethod
+    def _derivs(mats, hom_rows):
+        """Rational derivatives of every candidate at shared parameters,
+        shape (2, P, m), from (m, n) basis matrices and the (3P, n)
+        component-major homogeneous control points."""
+        n_var = hom_rows.shape[0] // 3
+        return geometry.rational_derivatives(
+            [(hom_rows @ b.T).reshape(3, n_var, -1) for b in mats])
 
-    def curve_for(self, x: np.ndarray) -> NurbsCurve:
-        return self._entry(x)[0]
+    def evaluate(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Path lengths (P,) and [static, curvature, VO] violations (P, 3)."""
+        config = self.config
+        hom = geometry.apply_delta_batch(self.base, xs, self.lower, self.upper)
+        # One (3P, n) matrix: every product below is a single matmul, and
+        # the x, y, w planes of its result are contiguous.
+        hom_rows = hom.transpose(2, 0, 1).reshape(-1, hom.shape[1])
+        _, c1 = self._derivs(self.gl_basis, hom_rows)
+        cum = geometry.cumulative_length(
+            self.half, np.sqrt(c1[0] * c1[0] + c1[1] * c1[1]))
+        lengths = cum[:, -1]
+        c0, c1, c2 = self._derivs(self.curv_basis, hom_rows)
+        kappa, ok = geometry.curvature_values(c1, c2)
+        for p in np.nonzero(~ok.all(axis=1))[0]:
+            # A vanishing tangent: the scalar path's offset rule, this row only.
+            kappa[p] = geometry.apply_delta(self.base, xs[p], self.lower,
+                                            self.upper).curvatures(self.curv_grid)
 
-    def objective(self, x: np.ndarray) -> float:
-        entry = self._entry(x)
-        if entry[1] is None:
-            # total_length() shares the cached arc-length grid with the VO
-            # constraint, so the length integral is computed once per x.
-            entry[1] = entry[0].total_length()
-        return entry[1]
-
-    def constraints(self, x: np.ndarray) -> np.ndarray:
-        entry = self._entry(x)
-        if entry[2] is None:
-            entry[2] = constraint_violations(entry[0], self.statics,
-                                             self.dynamics, self.config,
-                                             self.speed)
-        return entry[2]
+        v = np.zeros((xs.shape[0], 3))
+        if self.clearance.size:
+            pts = c0 if self.obs_basis is None \
+                else self._derivs(self.obs_basis, hom_rows)[0]
+            d = np.sqrt((pts[0][..., None] - self.centers[:, 0]) ** 2
+                        + (pts[1][..., None] - self.centers[:, 1]) ** 2)
+            v[:, 0] = np.maximum(0.0, self.clearance - d).sum(axis=(1, 2))
+        if not config.disable_curvature:
+            v[:, 1] = np.maximum(0.0, kappa - config.kappa_max - 1e-9).sum(axis=1) \
+                / (self.curv_grid.size - 1)
+        if self.movers is not None:
+            arc_end = np.minimum(self.speed * config.tau, lengths)
+            arcs = np.linspace(0.0, arc_end, config.n_vo_samples, axis=-1)
+            s_vals = geometry.invert_length(self.edges, cum, arcs)
+            mats = geometry.basis_matrices(self.base.knots, self.base.degree,
+                                           s_vals.ravel(), 1)
+            shape = s_vals.shape + (-1,)
+            pos, tan = geometry.rational_derivatives(
+                [np.moveaxis(b.reshape(shape) @ hom, -1, 0) for b in mats])
+            v[:, 2] = velocity_obstacle.vo_depth(pos, tan, arcs / self.speed,
+                                                 self.speed, self.movers,
+                                                 config.tau)
+        return lengths, v
 
 
 def _align_delta(old: np.ndarray, new_dim: int) -> np.ndarray:
@@ -299,14 +329,32 @@ def _align_delta(old: np.ndarray, new_dim: int) -> np.ndarray:
     return out
 
 
+def _real_gain(best, f0: float, v0: float) -> bool:
+    """Whether an optimized candidate beats the neutral delta by more than
+    rounding: less total violation, or as little and a shorter path.
+
+    Many variations leave the curve itself unchanged (collinear control
+    points slid along their line, their weights, an inert spacing factor)
+    and differ in length or violation by rounding only. Flying such a
+    variation would let the control-point layout random-walk from cycle to
+    cycle and bunch the movable points away from where they are needed.
+    """
+    if best.violation < v0 * (1.0 - GAIN_RTOL):
+        return True
+    return best.violation <= v0 * (1.0 + GAIN_RTOL) \
+        and best.f < f0 * (1.0 - GAIN_RTOL)
+
+
 def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
                  PlannerConfig, seed: int, statics=(), warm_delta=None,
                  anchor_hint: float | None = None) -> ReplanResult | None:
     """One deliberative cycle: cut, optimize the variation, verify.
 
     Returns None when the path is exhausted (the caller switches to the
-    next waypoint). An infeasible best is returned flagged infeasible; the
-    tracker keeps following it and retries next cycle.
+    next waypoint). The cut is kept unchanged unless the search beats it
+    by more than rounding (see _real_gain). An infeasible best is returned
+    flagged infeasible; the tracker keeps following it and retries next
+    cycle.
     """
     t0 = time.perf_counter()
     cut, anchor = cut_path_at_projection(curve, uav_state, config.t_replan,
@@ -325,11 +373,10 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
                             remaining_length=cut.total_length())
 
     lower, upper = delta_bounds(cut, config)
-    cache = _CandidateCache(cut, lower, upper, statics, sensed, config,
-                            uav_state.speed)
+    kernel = _CycleKernel(cut, lower, upper, statics, sensed, config,
+                          uav_state.speed)
     problem = ProblemDef(dimension=lower.size, lower=lower, upper=upper,
-                         objective=cache.objective,
-                         constraints=cache.constraints)
+                         batch=kernel.evaluate)
     deadline = None if config.budget_mode else 0.8 * config.t_replan
     opt_cfg = replace(config.optimizer, seed=seed, deadline=deadline)
     warm = [geometry.neutral_delta(cut)]
@@ -341,7 +388,10 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
     except RuntimeError as exc:
         raise ReplanError(str(exc), curve) from exc
 
-    best_curve = cache.curve_for(best.x)
+    f0, v0 = problem.evaluate_batch(warm[0][None])
+    if not _real_gain(best, f0[0], v0[0]):
+        best = replace(best, x=warm[0], f=float(f0[0]), violation=float(v0[0]))
+    best_curve = geometry.apply_delta(cut, best.x, lower, upper)
     feasible, violations = _verify(best_curve, statics, sensed, config,
                                    uav_state.speed)
     return ReplanResult(curve=best_curve, feasible=feasible, f=best.f,
@@ -386,11 +436,6 @@ def mission_loop(waypoints: list, world: World, config: PlannerConfig,
         leg_from = Waypoint(position=np.array(state.position),
                             heading=state.heading)
         active = initial_path(leg_from, target, config)
-        if config.initial_refine_budget > 0 and world.statics:
-            active = refine_initial_path(
-                active, world.visible_statics(state.position, config.r_view),
-                config, seed=seed * 7919 + wp_idx,
-                budget=config.initial_refine_budget)
         log.curves.append({"t": world.clock, "leg": wp_idx,
                            "curve": active.to_dict()})
         pending: ReplanResult | None = None

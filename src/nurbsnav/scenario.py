@@ -8,6 +8,7 @@ simulation step. All units are SI.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,9 +30,27 @@ def _require(data: dict, key: str, context: str):
 
 
 def _number(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{context}: expected a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ScenarioError(f"{context}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _positive(value, context: str) -> float:
+    out = _number(value, context)
+    if out <= 0.0:
+        raise ScenarioError(f"{context}: must be positive, got {value!r}")
+    return out
+
+
+def _integer(value, context: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer():
+        raise ScenarioError(f"{context}: expected an integer, got {value!r}")
+    if value < minimum:
+        raise ScenarioError(f"{context}: must be at least {minimum}, got {value!r}")
+    return int(value)
+
 
 def _point(value, context: str) -> np.ndarray:
     if (not isinstance(value, (list, tuple)) or len(value) != 2):
@@ -94,7 +113,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         ctx = f"static_obstacles[{i}]"
         statics.append(StaticObstacle(
             center=_point(_require(s, "center", ctx), f"{ctx}.center"),
-            radius=_number(_require(s, "radius", ctx), f"{ctx}.radius"),
+            radius=_positive(_require(s, "radius", ctx), f"{ctx}.radius"),
             known=bool(s.get("known", True))))
 
     dynamics = []
@@ -103,21 +122,23 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         dynamics.append(DynamicObstacle(
             position0=_point(_require(d, "pos", ctx), f"{ctx}.pos"),
             velocity=_point(_require(d, "vel", ctx), f"{ctx}.vel"),
-            radius=_number(_require(d, "radius", ctx), f"{ctx}.radius"),
+            radius=_positive(_require(d, "radius", ctx), f"{ctx}.radius"),
             spawn_time=_number(d.get("spawn_time", 0.0), f"{ctx}.spawn_time")))
 
     pl = data.get("planner", {})
     if not isinstance(pl, dict):
         raise ScenarioError("planner: expected an object")
-    opt = OptimizerConfig(
-        budget=int(pl.get("budget", 512)),
-        n_init=int(pl["n_init"]) if "n_init" in pl else 40,
-        n_min=int(pl.get("n_min", 4)),
-        memory_size=int(pl.get("memory_size", 6)),
-        p_best=float(pl.get("p_best", 0.11)),
-        archive_rate=float(pl.get("archive_rate", 1.4)),
-    )
     try:
+        opt = OptimizerConfig(
+            budget=_integer(pl.get("budget", 512), "planner.budget", 1),
+            n_init=_integer(pl.get("n_init", 40), "planner.n_init", 1),
+            n_min=_integer(pl.get("n_min", 4), "planner.n_min", 4),
+            memory_size=_integer(pl.get("memory_size", 6),
+                                 "planner.memory_size", 1),
+            p_best=_number(pl.get("p_best", 0.11), "planner.p_best"),
+            archive_rate=_number(pl.get("archive_rate", 1.4),
+                                 "planner.archive_rate"),
+        )
         planner = PlannerConfig(
             t_replan=_number(pl.get("T_s", 0.1), "planner.T_s"),
             tau=_number(pl.get("tau", 3.0), "planner.tau"),
@@ -125,16 +146,20 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
             r_u=r_u,
             r_safe=r_safe,
             r_view=r_view,
-            n_interior=int(pl.get("n_interior", 8)),
-            n_curv_samples=int(pl.get("n_curv_samples", 64)),
-            n_vo_samples=int(pl.get("n_vo_samples", 20)),
-            n_obs_samples=int(pl.get("n_obs_samples", 64)),
+            n_interior=_integer(pl.get("n_interior", 8), "planner.n_interior", 1),
+            n_curv_samples=_integer(pl.get("n_curv_samples", 64),
+                                    "planner.n_curv_samples", 2),
+            n_vo_samples=_integer(pl.get("n_vo_samples", 20),
+                                  "planner.n_vo_samples", 2),
+            n_obs_samples=_integer(pl.get("n_obs_samples", 64),
+                                   "planner.n_obs_samples", 1),
             waypoint_tolerance=_number(pl.get("waypoint_tolerance", 3.0),
                                        "planner.waypoint_tolerance"),
             budget_mode=bool(pl.get("budget_mode", False)),
-            initial_refine_budget=int(pl.get("initial_refine_budget", 0)),
             optimizer=opt,
         )
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError(f"planner: {exc}") from exc
 
@@ -142,11 +167,12 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     dt_sim = _number(sim.get("dt", planner.t_replan / 10.0), "sim.dt")
     if dt_sim <= 0.0:
         raise ScenarioError("sim.dt: must be positive")
-    max_steps = int(sim.get("max_steps", 20000))
+    max_steps = _integer(sim.get("max_steps", 20000), "sim.max_steps", 1)
 
     return Scenario(uav_start=start, uav_heading=heading, uav_speed=speed,
                     waypoints=waypoints, statics=statics, dynamics=dynamics,
-                    planner=planner, seed=int(pl.get("seed", 0)),
+                    planner=planner,
+                    seed=_integer(pl.get("seed", 0), "planner.seed", 0),
                     dt_sim=dt_sim, max_steps=max_steps, name=name)
 
 

@@ -67,18 +67,51 @@ def time_to_collision(rel_pos, rel_vel, radius: float) -> float | None:
 
 
 def _ttc_array(rel_pos: np.ndarray, rel_vel: np.ndarray,
-               radius: float) -> np.ndarray:
-    """Vectorized time_to_collision; NaN where no collision occurs."""
-    c = np.einsum("ij,ij->i", rel_pos, rel_pos) - radius * radius
-    a = np.einsum("ij,ij->i", rel_vel, rel_vel)
-    b = np.einsum("ij,ij->i", rel_pos, rel_vel)
+               radius) -> np.ndarray:
+    """Vectorized time_to_collision with x, y on the first axis of rel_pos
+    and rel_vel (shape (2, ...)); NaN where no collision occurs. `radius`
+    broadcasts against the remaining axes."""
+    c = rel_pos[0] * rel_pos[0] + rel_pos[1] * rel_pos[1] - radius * radius
+    a = rel_vel[0] * rel_vel[0] + rel_vel[1] * rel_vel[1]
+    b = rel_pos[0] * rel_vel[0] + rel_pos[1] * rel_vel[1]
     disc = b * b - a * c
-    out = np.full(rel_pos.shape[0], np.nan)
     ok = (disc >= 0.0) & (a > 0.0)
     t = np.where(ok, (b - np.sqrt(np.where(ok, disc, 0.0))) / np.where(a > 0.0, a, 1.0), np.nan)
-    out[ok & (t >= 0.0)] = t[ok & (t >= 0.0)]
-    out[c < 0.0] = 0.0
-    return out
+    t = np.where(ok & (t >= 0.0), t, np.nan)
+    return np.where(c < 0.0, 0.0, t)
+
+
+def obstacle_arrays(obstacles, r_u: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions (2, K), velocities (2, K) and combined radii (K,)."""
+    obstacles = list(obstacles)
+    return (np.array([o.position for o in obstacles], dtype=float).reshape(-1, 2).T,
+            np.array([o.velocity for o in obstacles], dtype=float).reshape(-1, 2).T,
+            np.array([o.radius + r_u for o in obstacles], dtype=float))
+
+
+def vo_depth(points: np.ndarray, tangents: np.ndarray, times: np.ndarray,
+             speed: float, obstacles: tuple, tau: float) -> np.ndarray:
+    """Summed truncated-VO violation depth of sampled agent states.
+
+    points and tangents (2, ..., J), components first, are the path
+    samples reached at `times` (..., J) flying at `speed`; `obstacles`
+    comes from obstacle_arrays. Each sample is checked against every
+    obstacle propagated to its time, with the horizon shrunk to tau - t.
+    Returns the sum over samples and obstacles, shape (...).
+    """
+    positions, velocities, radii = obstacles
+    norms = np.maximum(np.sqrt(tangents[0] * tangents[0]
+                               + tangents[1] * tangents[1]), 1e-12)
+    t = times[..., None]
+    rel_pos = [positions[k] + t * velocities[k] - points[k][..., None]
+               for k in range(2)]
+    rel_vel = [(speed * tangents[k] / norms)[..., None] - velocities[k]
+               for k in range(2)]
+    t_star = _ttc_array(rel_pos, rel_vel, radii)
+    horizons = tau - t
+    hit = (horizons > 0.0) & (t_star <= horizons)
+    depth = np.where(hit, horizons - t_star, 0.0) / np.where(hit, horizons, 1.0)
+    return depth.sum(axis=(-2, -1))
 
 
 def in_truncated_vo(v_u, p_u, obs: ObstacleState, r_u: float,
@@ -127,19 +160,6 @@ def path_vo_violation(curve: NurbsCurve, speed: float, obstacles,
     # Grid-interpolated inversion: sampling positions need far less
     # precision than the obstacle radii they are compared against.
     s_vals = np.atleast_1d(curve.param_at_length(arcs, polish=False))
-    times = arcs / speed
     c0, c1 = curve.derivatives(s_vals, order=1)
-    speeds = np.maximum(np.sqrt(np.einsum("ij,ij->i", c1, c1)), 1e-12)
-    vel = speed * c1 / speeds[:, None]
-    horizons = tau - times
-    active = horizons > 0.0
-    total = 0.0
-    for obs in obstacles:
-        rel_pos = (obs.position[None, :] + times[:, None] * obs.velocity[None, :]) - c0
-        rel_vel = vel - obs.velocity[None, :]
-        t_star = _ttc_array(rel_pos, rel_vel, obs.radius + r_u)
-        hit = active & ~np.isnan(t_star)
-        hit[hit] &= t_star[hit] <= horizons[hit]
-        if hit.any():
-            total += float(np.sum((horizons[hit] - t_star[hit]) / horizons[hit]))
-    return total
+    return float(vo_depth(c0.T, c1.T, arcs / speed, speed,
+                          obstacle_arrays(obstacles, r_u), tau))

@@ -47,6 +47,33 @@ def test_bad_input_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _patched(section: str, key: str, value, index: int | None = None) -> dict:
+    data = tiny_scenario()
+    if index is None:
+        data[section][key] = value
+    else:
+        data[section][index][key] = value
+    return data
+
+
+@pytest.mark.parametrize("data, field", [
+    (_patched("planner", "budget", "x"), "planner.budget"),
+    (_patched("planner", "budget", 0), "planner.budget"),
+    (_patched("sim", "max_steps", -5), "sim.max_steps"),
+    (tiny_scenario(static_obstacles=[{"center": [50.0, 30.0], "radius": -2.0}]),
+     "static_obstacles[0].radius"),
+    (tiny_scenario(dynamic_obstacles=[{"pos": [50.0, 30.0], "vel": [0.0, -1.0],
+                                       "radius": 0.0}]),
+     "dynamic_obstacles[0].radius"),
+], ids=["budget-not-a-number", "budget-zero", "max-steps-negative",
+        "static-radius-negative", "dynamic-radius-zero"])
+def test_invalid_field_exit_code(tmp_path, capsys, data, field):
+    path = write_scenario(tmp_path, data)
+    code = main(["--scenario", str(path), "--mode", "validate"])
+    assert code == EXIT_BAD_INPUT
+    assert f"error: {field}" in capsys.readouterr().err
+
+
 def test_mission_mode_outputs(tmp_path):
     path = write_scenario(tmp_path, tiny_scenario())
     out = tmp_path / "run"
@@ -121,7 +148,10 @@ def test_plot_is_wellformed_svg(tmp_path):
 
 
 def test_seed_flag_overrides_scenario_seed(tmp_path):
-    path = write_scenario(tmp_path, tiny_scenario())
+    # A disc next to the straight line gives the optimizer real work, so
+    # the flown path depends on the optimizer seed.
+    path = write_scenario(tmp_path, tiny_scenario(
+        static_obstacles=[{"center": [60.0, 4.0], "radius": 3.0}]))
     out_a = tmp_path / "s0"
     out_b = tmp_path / "s1"
     assert main(["--scenario", str(path), "--out", str(out_a),

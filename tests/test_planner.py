@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from nurbsnav import geometry
+from nurbsnav.geometry import NurbsCurve
 from nurbsnav.lshade import OptimizerConfig
 from nurbsnav.planner import (PlannerConfig, Waypoint, _align_delta,
-                              constraint_violations, cut_path_at_projection,
-                              delta_bounds, initial_path, mission_loop,
-                              replan_cycle)
+                              _CycleKernel, constraint_violations,
+                              cut_path_at_projection, delta_bounds,
+                              initial_path, mission_loop, replan_cycle)
 from nurbsnav.scenario import ScenarioError, load_scenario, parse_scenario
 from nurbsnav.tracking import UavState
 from nurbsnav.velocity_obstacle import ObstacleState
@@ -134,6 +136,74 @@ def test_violations_flag_excess_curvature():
     assert v_curv > 0.0
 
 
+# -- batched candidate evaluation -----------------------------------------
+
+def _kernel_cases():
+    """A start-of-leg path with interior weights near both ends of the
+    weight box, and a part-way cut of it, each with static discs and
+    movers crossing the path ahead."""
+    config = fast_config(r_safe=5.0)
+    w0 = Waypoint(position=np.array([0.0, 0.0]), heading=0.3)
+    w1 = Waypoint(position=np.array([200.0, 20.0]), heading=-0.2)
+    path = initial_path(w0, w1, config)
+    weights = np.array(path.weights)
+    weights[4:8] = [0.2, 9.8, 0.3, 9.7]
+    start = NurbsCurve(degree=path.degree, control_points=path.control_points,
+                       weights=weights, knots=path.knots)
+    state = UavState(position=np.array([60.0, 12.0]), heading=0.2, speed=15.0)
+    cut, _ = cut_path_at_projection(start, state, config.t_replan)
+    statics = [StaticObstacle(center=[80.0, 15.0], radius=5.0),
+               StaticObstacle(center=[120.0, -5.0], radius=4.0)]
+    cases = []
+    for base in (start, cut):
+        movers = []
+        for arc, t_cross, vel in ((25.0, 1.7, [1.0, 7.0]),
+                                  (40.0, 2.6, [-3.0, -6.0])):
+            s = base.param_at_length(arc)
+            cross = base.point(s)
+            movers.append(ObstacleState(position=cross - t_cross * np.array(vel),
+                                        velocity=np.array(vel), radius=2.5))
+        cases.append((base, statics, movers, config))
+    return cases
+
+
+def _kernel_candidates(base, lower, upper, rng):
+    n_mov = geometry.movable_count(base)
+    weights = slice(2 * n_mov, 3 * n_mov)
+    xs = lower + rng.random((24, lower.size)) * (upper - lower)
+    xs[0] = geometry.neutral_delta(base)
+    xs[1, weights] = lower[weights]  # weight clip at W_MIN
+    xs[2, weights] = upper[weights]  # weight clip at W_MAX
+    xs[3, -2:] = lower[-2:]  # spacing factors on the lam bounds
+    xs[4, -2:] = upper[-2:]
+    xs[5, -2:] = [lower[-2], upper[-1]]
+    return xs
+
+
+def test_batch_kernel_matches_scalar_path():
+    rng = np.random.default_rng(5)
+    cases = _kernel_cases()
+    assert cases[0][0]._end_spacing[0] is not None
+    assert cases[1][0]._end_spacing[0] is None  # lam1 inert after the cut
+    for base, statics, movers, config in cases:
+        lower, upper = delta_bounds(base, config)
+        xs = _kernel_candidates(base, lower, upper, rng)
+        kernel = _CycleKernel(base, lower, upper, statics, movers, config, 15.0)
+        lengths, violations = kernel.evaluate(xs)
+        # Every family is active on some candidates.
+        assert np.all(np.any(violations > 0.0, axis=0))
+        for i, (x, f, v) in enumerate(zip(xs, lengths, violations)):
+            curve = geometry.apply_delta(base, x, lower, upper)
+            if base is cases[0][0] and i in (1, 2):
+                assert np.any(curve.weights == (geometry.W_MIN, geometry.W_MAX)[i - 1])
+            ref = np.concatenate([[curve.total_length()],
+                                  constraint_violations(curve, statics, movers,
+                                                        config, 15.0)])
+            got = np.concatenate([[f], v])
+            assert np.all(np.abs(got - ref) <= np.maximum(1e-9 * np.abs(ref),
+                                                          1e-12)), (got, ref)
+
+
 # -- single replan cycles --------------------------------------------------
 
 def test_replan_clear_world_keeps_near_straight_path():
@@ -188,6 +258,22 @@ def test_replan_never_worse_than_warm_start():
     best_violation = sum(constraint_violations(result.curve, [], [mover],
                                                config, 15.0))
     assert best_violation <= seed_violation + 1e-12
+
+
+def test_replan_keeps_cut_without_real_gain():
+    # A straight path in an empty world is already the shortest. Variations
+    # that slide its collinear points or change their weights tie it to
+    # rounding; flying one would let the layout drift from cycle to cycle.
+    w0, w1 = straight_mission()
+    config = fast_config()
+    curve = initial_path(w0, w1, config)
+    state = UavState(position=np.array([0.0, 0.0]), heading=0.0, speed=15.0)
+    cut, _ = cut_path_at_projection(curve, state, config.t_replan)
+    for seed in range(3):
+        result = replan_cycle(curve, state, [], config, seed=seed)
+        assert np.array_equal(result.curve.control_points, cut.control_points)
+        assert np.array_equal(result.curve.weights, cut.weights)
+        assert np.array_equal(result.delta, geometry.neutral_delta(cut))
 
 
 def test_replan_deterministic_per_seed():
