@@ -28,7 +28,9 @@ PROJ_GRID = 64
 PROJ_NEWTON_STEPS = 20
 PROJ_TOL = 1e-10
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Parameters per round of the curvature-peak zoom: each round narrows the
+# bracket 16-fold.
+ZOOM_POINTS = 33
 
 
 def clamped_uniform_knots(n_points: int, degree: int) -> np.ndarray:
@@ -64,7 +66,8 @@ def _knot_coefs(knots_bytes: bytes, degree: int):
 
     Empty spans get a zero reciprocal so the 0/0 convention needs no
     branching at evaluation time. Shared across every curve with the same
-    knots (all candidates of a replan cycle).
+    knots (all candidates of a replan cycle). Level j's coefficients depend
+    on j and the knots only, so one entry serves every lower degree too.
     """
     t = np.frombuffer(knots_bytes, dtype=float)
     nf = t.shape[0] - 1
@@ -77,41 +80,38 @@ def _knot_coefs(knots_bytes: bytes, degree: int):
         inv1 = np.where(d1 > 0.0, 1.0 / np.where(d1 > 0.0, d1, 1.0), 0.0)
         inv2 = np.where(d2 > 0.0, 1.0 / np.where(d2 > 0.0, d2, 1.0), 0.0)
         levels.append((t[:m], t[j + 1: j + 1 + m], inv1, inv2))
-    return t, last, levels
+    return t, last, np.arange(nf), levels
 
 
-def _basis_tables(knots: np.ndarray, degree: int, s: np.ndarray) -> list[np.ndarray]:
+def _basis_tables(coefs, s: np.ndarray) -> list[np.ndarray]:
     """B-spline basis values by Cox-de Boor, for all degrees 0..degree.
 
-    tables[j] has shape (len(s), len(knots) - 1 - j). The domain end s = 1
-    is assigned to the last non-empty span so clamped curves interpolate
-    their final control point.
+    tables[j] has shape (len(s), len(knots) - 1 - j). The degree-0 table
+    is the indicator of the span index t[i] <= s < t[i + 1] found by
+    binary search (Piegl & Tiller, The NURBS Book, A2.1); searching to the
+    right of repeated knots never lands in an empty span. The domain end
+    s = 1 is assigned to the last non-empty span so clamped curves
+    interpolate their final control point; s below the domain (or NaN)
+    gets an all-zero row.
     """
-    t, last, levels = _knot_coefs(knots.tobytes(), degree)
-    n0 = ((t[None, :-1] <= s[:, None]) & (s[:, None] < t[None, 1:])
-          & (t[None, :-1] < t[None, 1:])).astype(float)
-    at_end = s >= t[-1]
-    if at_end.any():
-        n0[at_end, :] = 0.0
-        n0[at_end, last] = 1.0
-    tables = [n0]
+    t, last, cols, levels = coefs
+    span = np.where(s >= t[-1], last, np.searchsorted(t, s, side="right") - 1)
+    tables = [(span[:, None] == cols).astype(float)]
     col = s[:, None]
-    for j in range(1, degree + 1):
+    for t0, t1, inv1, inv2 in levels:
         prev = tables[-1]
-        t0, t1, inv1, inv2 = levels[j - 1]
         m = t0.shape[0]
         tables.append(((col - t0) * inv1) * prev[:, :m]
                       + ((t1 - col) * inv2) * prev[:, 1: 1 + m])
     return tables
 
 
-def _basis_diff(prev: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:
+def _basis_diff(prev: np.ndarray, levels, degree: int) -> np.ndarray:
     """Derivative of the degree-`degree` basis given the degree-1-lower table.
 
     `prev` may itself be a derivative table, in which case the result is the
     next-higher derivative.
     """
-    _, _, levels = _knot_coefs(knots.tobytes(), degree)
     _, _, inv1, inv2 = levels[degree - 1]
     m = inv1.shape[0]
     return degree * (prev[:, :m] * inv1 - prev[:, 1: 1 + m] * inv2)
@@ -125,13 +125,15 @@ def basis_matrices(knots: np.ndarray, degree: int, s: np.ndarray,
     curve (or its derivative) for homogeneous control points H. B'' is
     None for degree-1 curves.
     """
-    tables = _basis_tables(knots, degree, s)
+    coefs = _knot_coefs(knots.tobytes(), degree)
+    levels = coefs[3]
+    tables = _basis_tables(coefs, s)
     out = [tables[degree]]
     if order >= 1:
-        out.append(_basis_diff(tables[degree - 1], knots, degree))
+        out.append(_basis_diff(tables[degree - 1], levels, degree))
     if order >= 2:
         out.append(None if degree < 2 else _basis_diff(
-            _basis_diff(tables[degree - 2], knots, degree - 1), knots, degree))
+            _basis_diff(tables[degree - 2], levels, degree - 1), levels, degree))
     return out
 
 
@@ -261,8 +263,19 @@ class NurbsCurve:
     # -- evaluation -------------------------------------------------------
 
     def _check_params(self, s: np.ndarray) -> None:
-        if np.any(s < 0.0) or np.any(s > 1.0):
+        if s.size and (s.min() < 0.0 or s.max() > 1.0):
             raise ValueError("curve parameter must lie in [0, 1]")
+
+    def _derivs(self, s_arr: np.ndarray, order: int) -> list:
+        """Rational derivatives [C, C', C''][: order + 1] at checked
+        parameters, components first (shape (2, m)). They are transposed
+        views, so `derivatives` hands out C-ordered (m, 2) arrays: layout-
+        dependent reductions on them, such as the einsum in `_speed`, round
+        differently on other layouts."""
+        hom = self.homogeneous
+        return rational_derivatives(
+            [None if b is None else (b @ hom).T
+             for b in basis_matrices(self.knots, self.degree, s_arr, order)])
 
     def derivatives(self, s, order: int = 2):
         """Return (C, C', C'') arrays at the given parameter(s).
@@ -273,10 +286,7 @@ class NurbsCurve:
         """
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         self._check_params(s_arr)
-        hom = self.homogeneous
-        mats = basis_matrices(self.knots, self.degree, s_arr, order)
-        return tuple(c.T for c in rational_derivatives(
-            [None if b is None else (b @ hom).T for b in mats]))
+        return tuple(c.T for c in self._derivs(s_arr, order))
 
     @cached_property
     def homogeneous(self) -> np.ndarray:
@@ -292,16 +302,18 @@ class NurbsCurve:
         return c0
 
     def _curvature_values(self, s_arr: np.ndarray, derivs=None) -> np.ndarray:
-        _, c1, c2 = derivs if derivs is not None \
-            else self.derivatives(s_arr, order=2)
-        kappa, ok = curvature_values(c1.T, c2.T)
-        # Parametric slowdowns: take the larger curvature from a symmetric
-        # offset instead of dividing by a vanishing tangent.
-        for i in np.nonzero(~ok)[0]:
-            lo = max(0.0, s_arr[i] - CURV_OFFSET)
-            hi = min(1.0, s_arr[i] + CURV_OFFSET)
-            kappa[i] = max(self._curvature_values(np.array([lo]))[0],
-                           self._curvature_values(np.array([hi]))[0])
+        """Curvature at checked parameters; `derivs` are their components-
+        first derivatives when the caller already has them."""
+        _, c1, c2 = derivs if derivs is not None else self._derivs(s_arr, 2)
+        kappa, ok = curvature_values(c1, c2)
+        if not ok.all():
+            # Parametric slowdowns: take the larger curvature from a
+            # symmetric offset instead of dividing by a vanishing tangent.
+            bad = np.nonzero(~ok)[0]
+            k = self._curvature_values(np.concatenate(
+                [np.maximum(0.0, s_arr[bad] - CURV_OFFSET),
+                 np.minimum(1.0, s_arr[bad] + CURV_OFFSET)]))
+            kappa[bad] = np.maximum(k[: bad.size], k[bad.size:])
         return kappa
 
     def curvatures(self, s) -> np.ndarray:
@@ -313,8 +325,9 @@ class NurbsCurve:
     def positions_and_curvatures(self, s) -> tuple[np.ndarray, np.ndarray]:
         """Points and curvatures from a single derivative evaluation."""
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        derivs = self.derivatives(s_arr, order=2)
-        return derivs[0], self._curvature_values(s_arr, derivs=derivs)
+        self._check_params(s_arr)
+        derivs = self._derivs(s_arr, 2)
+        return derivs[0].T, self._curvature_values(s_arr, derivs=derivs)
 
     # -- arc length -------------------------------------------------------
 
@@ -423,7 +436,10 @@ class NurbsCurve:
         """Closest point on the curve to q: returns (s*, distance).
 
         Coarse grid scan then Newton refinement of g(s) = (C - q) . C'.
-        With a hint the scan window is centered on it. Ties at equal
+        With a hint the scan window is centered on it. The Newton result,
+        the grid point and both curve ends are then evaluated in one call,
+        in increasing parameter order; a candidate replaces the best so far
+        only when it is closer by more than 1e-15, so ties at equal
         distance take the smallest parameter.
         """
         q = np.asarray(q, dtype=float)
@@ -438,10 +454,10 @@ class NurbsCurve:
         order_idx = int(np.argmin(d2))
         s = float(grid[order_idx])
         for _ in range(PROJ_NEWTON_STEPS):
-            c0, c1, c2 = self.derivatives(np.array([s]), order=2)
-            r = c0[0] - q
-            g = float(r @ c1[0])
-            gp = float(c1[0] @ c1[0] + r @ c2[0])
+            c0, c1, c2 = (c[:, 0] for c in self._derivs(np.array([s]), 2))
+            r = c0 - q
+            g = float(r @ c1)
+            gp = float(c1 @ c1 + r @ c2)
             if abs(g) < PROJ_TOL or gp <= 0.0:
                 break
             step = g / gp
@@ -450,10 +466,11 @@ class NurbsCurve:
                 s = s_new
                 break
             s = s_new
-        candidates = [s, float(grid[order_idx]), 0.0, 1.0]
+        candidates = np.array(sorted([s, float(grid[order_idx]), 0.0, 1.0]))
+        (pts,) = self._derivs(candidates, 0)
+        dists = np.hypot(pts[0] - q[0], pts[1] - q[1])
         best_s, best_d = None, None
-        for cand in sorted(candidates):
-            dist = float(np.linalg.norm(self.point(cand) - q))
+        for cand, dist in zip(candidates.tolist(), dists.tolist()):
             if best_d is None or dist < best_d - 1e-15:
                 best_s, best_d = cand, dist
         return best_s, best_d
@@ -490,37 +507,31 @@ class NurbsCurve:
     def max_curvature(self, n_samples: int = 200) -> tuple[float, float]:
         """Peak curvature and its parameter.
 
-        Uniform grid scan refined by golden-section search around the grid
-        argmax.
+        Uniform grid scan, then a zoom on the bracket around the grid
+        argmax (its neighbours on either side): each round evaluates
+        ZOOM_POINTS evenly spaced parameters across the bracket in one call
+        and narrows the bracket to the neighbours of their argmax, until it
+        is narrower than 1e-12 (about ten curve evaluations in all). The
+        largest curvature sampled is returned, so the result is never below
+        the grid maximum.
         """
         if n_samples < 2:
             raise ValueError("need at least two curvature samples")
         grid = np.linspace(0.0, 1.0, n_samples)
         kappa = self._curvature_values(grid)
         i = int(np.argmax(kappa))
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, n_samples - 1)]
-        a, b = lo, hi
-        x1 = b - _GOLDEN * (b - a)
-        x2 = a + _GOLDEN * (b - a)
-        f1 = self._curvature_values(np.array([x1]))[0]
-        f2 = self._curvature_values(np.array([x2]))[0]
-        for _ in range(60):
-            if b - a < 1e-12:
-                break
-            if f1 < f2:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + _GOLDEN * (b - a)
-                f2 = self._curvature_values(np.array([x2]))[0]
-            else:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - _GOLDEN * (b - a)
-                f1 = self._curvature_values(np.array([x1]))[0]
-        s_best = 0.5 * (a + b)
-        k_best = self._curvature_values(np.array([s_best]))[0]
-        if k_best >= kappa[i]:
-            return float(k_best), float(s_best)
-        return float(kappa[i]), float(grid[i])
+        k_best, s_best = kappa[i], grid[i]
+        a = grid[max(i - 1, 0)]
+        b = grid[min(i + 1, n_samples - 1)]
+        while b - a >= 1e-12:
+            x = np.linspace(a, b, ZOOM_POINTS)
+            k = self._curvature_values(x)
+            j = int(np.argmax(k))
+            if k[j] >= k_best:
+                k_best, s_best = k[j], x[j]
+            a = x[max(j - 1, 0)]
+            b = x[min(j + 1, ZOOM_POINTS - 1)]
+        return float(k_best), float(s_best)
 
     # -- serialization ----------------------------------------------------
 

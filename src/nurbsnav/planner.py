@@ -365,12 +365,12 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
     if geometry.movable_count(cut) < 1:
         feasible, violations = _verify(cut, statics, sensed, config,
                                        uav_state.speed)
-        return ReplanResult(curve=cut, feasible=feasible,
-                            f=cut.arc_length(rel_tol=1e-8),
+        length = cut.total_length()
+        return ReplanResult(curve=cut, feasible=feasible, f=length,
                             violations=violations,
                             wall_time=time.perf_counter() - t0, evals=0,
                             delta=None, anchor=anchor,
-                            remaining_length=cut.total_length())
+                            remaining_length=length)
 
     lower, upper = delta_bounds(cut, config)
     kernel = _CycleKernel(cut, lower, upper, statics, sensed, config,

@@ -52,6 +52,24 @@ def _integer(value, context: str, minimum: int) -> int:
     return int(value)
 
 
+def _boolean(value, context: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{context}: expected true or false, got {value!r}")
+    return value
+
+
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{context}: expected an object")
+    return value
+
+
+def _list(value, context: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{context}: expected a list")
+    return value
+
+
 def _point(value, context: str) -> np.ndarray:
     if (not isinstance(value, (list, tuple)) or len(value) != 2):
         raise ScenarioError(f"{context}: expected [x, y]")
@@ -87,7 +105,7 @@ class Scenario:
 def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario root must be a JSON object")
-    uav = _require(data, "uav", "scenario")
+    uav = _object(_require(data, "uav", "scenario"), "uav")
     start = _point(_require(uav, "start", "uav"), "uav.start")
     heading = _number(_require(uav, "heading", "uav"), "uav.heading")
     speed = _number(_require(uav, "speed", "uav"), "uav.speed")
@@ -98,36 +116,46 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     r_view = _number(_require(uav, "r_view", "uav"), "uav.r_view")
     r_u = _number(uav.get("r_u", 0.0), "uav.r_u")
 
-    wps_raw = _require(data, "waypoints", "scenario")
-    if not isinstance(wps_raw, list) or not wps_raw:
+    wps_raw = _list(_require(data, "waypoints", "scenario"), "waypoints")
+    if not wps_raw:
         raise ScenarioError("waypoints: expected a non-empty list")
     waypoints = []
+    prev = start
     for i, wp in enumerate(wps_raw):
         ctx = f"waypoints[{i}]"
+        wp = _object(wp, ctx)
+        pos = _point(_require(wp, "pos", ctx), f"{ctx}.pos")
+        # The same closeness test build_path_with_headings rejects a leg by.
+        if np.allclose(pos, prev):
+            raise ScenarioError(f"{ctx}.pos: must differ from the "
+                                + ("previous waypoint" if i else "uav.start"))
         waypoints.append(Waypoint(
-            position=_point(_require(wp, "pos", ctx), f"{ctx}.pos"),
+            position=pos,
             heading=_number(_require(wp, "heading", ctx), f"{ctx}.heading")))
+        prev = pos
 
     statics = []
-    for i, s in enumerate(data.get("static_obstacles", [])):
+    for i, s in enumerate(_list(data.get("static_obstacles", []),
+                                "static_obstacles")):
         ctx = f"static_obstacles[{i}]"
+        s = _object(s, ctx)
         statics.append(StaticObstacle(
             center=_point(_require(s, "center", ctx), f"{ctx}.center"),
             radius=_positive(_require(s, "radius", ctx), f"{ctx}.radius"),
-            known=bool(s.get("known", True))))
+            known=_boolean(s.get("known", True), f"{ctx}.known")))
 
     dynamics = []
-    for i, d in enumerate(data.get("dynamic_obstacles", [])):
+    for i, d in enumerate(_list(data.get("dynamic_obstacles", []),
+                                "dynamic_obstacles")):
         ctx = f"dynamic_obstacles[{i}]"
+        d = _object(d, ctx)
         dynamics.append(DynamicObstacle(
             position0=_point(_require(d, "pos", ctx), f"{ctx}.pos"),
             velocity=_point(_require(d, "vel", ctx), f"{ctx}.vel"),
             radius=_positive(_require(d, "radius", ctx), f"{ctx}.radius"),
             spawn_time=_number(d.get("spawn_time", 0.0), f"{ctx}.spawn_time")))
 
-    pl = data.get("planner", {})
-    if not isinstance(pl, dict):
-        raise ScenarioError("planner: expected an object")
+    pl = _object(data.get("planner", {}), "planner")
     try:
         opt = OptimizerConfig(
             budget=_integer(pl.get("budget", 512), "planner.budget", 1),
@@ -155,7 +183,8 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
                                    "planner.n_obs_samples", 1),
             waypoint_tolerance=_number(pl.get("waypoint_tolerance", 3.0),
                                        "planner.waypoint_tolerance"),
-            budget_mode=bool(pl.get("budget_mode", False)),
+            budget_mode=_boolean(pl.get("budget_mode", False),
+                                 "planner.budget_mode"),
             optimizer=opt,
         )
     except ScenarioError:
@@ -163,7 +192,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"planner: {exc}") from exc
 
-    sim = data.get("sim", {})
+    sim = _object(data.get("sim", {}), "sim")
     dt_sim = _number(sim.get("dt", planner.t_replan / 10.0), "sim.dt")
     if dt_sim <= 0.0:
         raise ScenarioError("sim.dt: must be positive")

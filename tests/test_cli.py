@@ -1,9 +1,11 @@
 """Command-line interface tests: modes, exit codes, and output files."""
 
+import copy
 import csv
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from nurbsnav.cli import (CSV_HEADER, EXIT_BAD_INPUT, EXIT_MISSION_FAILED,
@@ -65,13 +67,76 @@ def _patched(section: str, key: str, value, index: int | None = None) -> dict:
     (tiny_scenario(dynamic_obstacles=[{"pos": [50.0, 30.0], "vel": [0.0, -1.0],
                                        "radius": 0.0}]),
      "dynamic_obstacles[0].radius"),
+    (tiny_scenario(waypoints=[{"pos": [100.0, 0.0], "heading": 0.0},
+                              {"pos": [100.0, 0.0], "heading": 1.0}]),
+     "waypoints[1].pos"),
+    (tiny_scenario(waypoints=[{"pos": [0.0, 0.0], "heading": 0.0}]),
+     "waypoints[0].pos"),
+    (tiny_scenario(waypoints=[5]), "waypoints[0]"),
+    (tiny_scenario(static_obstacles=3), "static_obstacles"),
+    (tiny_scenario(sim=[1]), "sim"),
+    (_patched("planner", "budget_mode", "false"), "planner.budget_mode"),
+    (tiny_scenario(static_obstacles=[{"center": [50.0, 30.0], "radius": 2.0,
+                                      "known": "no"}]),
+     "static_obstacles[0].known"),
 ], ids=["budget-not-a-number", "budget-zero", "max-steps-negative",
-        "static-radius-negative", "dynamic-radius-zero"])
+        "static-radius-negative", "dynamic-radius-zero",
+        "waypoint-repeats-previous", "waypoint-equals-start",
+        "waypoint-not-an-object", "statics-not-a-list", "sim-not-an-object",
+        "budget-mode-string", "known-string"])
 def test_invalid_field_exit_code(tmp_path, capsys, data, field):
     path = write_scenario(tmp_path, data)
     code = main(["--scenario", str(path), "--mode", "validate"])
     assert code == EXIT_BAD_INPUT
     assert f"error: {field}" in capsys.readouterr().err
+
+
+# Replacement values for the mutation test: wrong types, out-of-range and
+# non-finite numbers, strings that look like booleans, malformed containers.
+JUNK = [None, True, False, 0, -1, 2.5, 1e9, float("nan"), float("inf"), "x",
+        "false", [], [5], [1.0, 2.0], [0.0, 0.0], {}, {"pos": 1}]
+
+
+def _mutate(data, rng) -> None:
+    """Replace, or drop from an object, one field chosen at any depth."""
+    slots = []
+
+    def walk(node):
+        for key, value in (node.items() if isinstance(node, dict)
+                           else enumerate(node)):
+            slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                walk(value)
+
+    walk(data)
+    node, key = slots[rng.integers(len(slots))]
+    if isinstance(node, dict) and rng.random() < 0.2:
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(JUNK[rng.integers(len(JUNK))])
+
+
+def test_mutated_scenarios_validate_or_exit_bad_input(tmp_path, capsys):
+    base = tiny_scenario(
+        waypoints=[{"pos": [100.0, 0.0], "heading": 0.0},
+                   {"pos": [100.0, 80.0], "heading": 1.5}],
+        static_obstacles=[{"center": [50.0, 30.0], "radius": 2.0,
+                           "known": False}],
+        dynamic_obstacles=[{"pos": [60.0, 40.0], "vel": [0.0, -1.0],
+                            "radius": 1.5, "spawn_time": 0.5}])
+    base["uav"]["r_u"] = 0.5
+    rng = np.random.default_rng(20240)
+    for trial in range(300):
+        data = copy.deepcopy(base)
+        for _ in range(rng.integers(1, 4)):
+            _mutate(data, rng)
+        path = write_scenario(tmp_path, data)
+        try:
+            code = main(["--scenario", str(path), "--mode", "validate"])
+        except Exception as exc:  # report the input that escaped validation
+            pytest.fail(f"trial {trial}: {exc!r} on {json.dumps(data)}")
+        assert code in (EXIT_OK, EXIT_BAD_INPUT), json.dumps(data)
+    capsys.readouterr()
 
 
 def test_mission_mode_outputs(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nurbsnav.geometry import (HeadingSpec, NurbsCurve, W_MIN, apply_delta,
-                               build_path_with_headings,
+                               basis_matrices, build_path_with_headings,
                                clamped_uniform_knots, delta_dimension,
                                movable_count, neutral_delta, validate_knots)
 
@@ -72,6 +72,18 @@ def test_derivatives_match_finite_differences():
     assert np.max(np.linalg.norm(c2 - fd2, axis=1)) <= 1e-3 * scale2
 
 
+def test_basis_span_rules():
+    # A double interior knot leaves an empty span between its copies.
+    knots = np.array([0.0, 0.0, 0.0, 0.0, 0.4, 0.4, 0.7, 1.0, 1.0, 1.0, 1.0])
+    s = np.array([0.0, 0.2, 0.4, 0.55, 0.7, 0.9, 1.0, -0.1])
+    b, db = basis_matrices(knots, 3, s, order=1)
+    assert np.allclose(b[:-1].sum(axis=1), 1.0, atol=1e-15)
+    assert np.allclose(db[:-1].sum(axis=1), 0.0, atol=1e-12)
+    assert np.array_equal(b[0], np.eye(7)[0])
+    assert np.array_equal(b[6], np.eye(7)[6])  # s = 1 takes the last span
+    assert not b[-1].any()  # below the domain: no span
+
+
 # -- curvature ------------------------------------------------------------
 
 def test_straight_segment_zero_curvature():
@@ -102,6 +114,80 @@ def test_max_curvature_analytic_and_brute_force():
     dense = np.max(c.curvatures(np.linspace(0.0, 1.0, 100_000)))
     k, _ = c.max_curvature(400)
     assert abs(k - dense) <= 1e-4 * dense
+
+
+def random_heading_path(rng) -> NurbsCurve:
+    """A heading path varied by apply_delta, cut part-way half the time, as
+    the planner's candidates are."""
+    spec = HeadingSpec(gamma_init=rng.uniform(-math.pi, math.pi),
+                       gamma_goal=rng.uniform(-math.pi, math.pi),
+                       lam1=rng.uniform(1.0, 8.0), lam2=rng.uniform(1.0, 8.0))
+    c = build_path_with_headings([0.0, 0.0], rng.uniform([60.0, -80.0],
+                                                         [200.0, 80.0]),
+                                 spec, int(rng.integers(1, 9)))
+    n_mov = movable_count(c)
+    delta = neutral_delta(c)
+    delta[: 2 * n_mov] += rng.uniform(-15.0, 15.0, 2 * n_mov)
+    delta[2 * n_mov: 3 * n_mov] += rng.uniform(-0.9, 2.0, n_mov)
+    delta[-2:] *= rng.uniform(0.5, 1.5, 2)
+    c = apply_delta(c, delta)
+    return c.split(rng.uniform(0.05, 0.6))[1] if rng.random() < 0.5 else c
+
+
+def golden_max_curvature(c: NurbsCurve, n_samples: int) -> float:
+    """Reference peak: golden-section search on the grid argmax bracket,
+    one curvature evaluation per step."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def kappa_at(s):
+        return float(c.curvatures(np.array([s]))[0])
+
+    grid = np.linspace(0.0, 1.0, n_samples)
+    kappa = c.curvatures(grid)
+    i = int(np.argmax(kappa))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, n_samples - 1)]
+    x1, x2 = b - golden * (b - a), a + golden * (b - a)
+    f1, f2 = kappa_at(x1), kappa_at(x2)
+    while b - a >= 1e-12:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + golden * (b - a)
+            f2 = kappa_at(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - golden * (b - a)
+            f1 = kappa_at(x1)
+    return max(kappa_at(0.5 * (a + b)), float(kappa[i]))
+
+
+def test_max_curvature_matches_golden_section():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        c = random_heading_path(rng)
+        for n in (64, 256):
+            ref = golden_max_curvature(c, n)
+            k, s_peak = c.max_curvature(n)
+            assert abs(k - ref) <= 1e-9 * ref
+            assert k >= np.max(c.curvatures(np.linspace(0.0, 1.0, n)))
+            assert abs(c.curvatures(np.array([s_peak]))[0] - k) <= 1e-12 * k
+
+
+def test_max_curvature_evaluation_count(monkeypatch):
+    calls = []
+    original = NurbsCurve._curvature_values
+
+    def counting(self, s_arr, derivs=None):
+        calls.append(s_arr.size)
+        return original(self, s_arr, derivs)
+
+    monkeypatch.setattr(NurbsCurve, "_curvature_values", counting)
+    rng = np.random.default_rng(12)
+    curves = [random_heading_path(rng) for _ in range(10)] + [wiggly()]
+    for c in curves:
+        for n in (2, 64, 256):
+            calls.clear()
+            c.max_curvature(n)
+            assert len(calls) <= 12
 
 
 # -- arc length -----------------------------------------------------------
@@ -162,6 +248,59 @@ def test_project_matches_dense_argmin():
         _, dist = c.project(q)
         brute = float(np.min(np.linalg.norm(pts - q, axis=1)))
         assert abs(dist - brute) <= 1e-6
+
+
+def four_point_project(c: NurbsCurve, q, hint=None) -> tuple[float, float]:
+    """Reference projection: the same scan and Newton steps, then one
+    `point` call per final candidate."""
+    q = np.asarray(q, dtype=float)
+    lo, hi = (0.0, 1.0) if hint is None \
+        else (max(0.0, hint - 0.15), min(1.0, hint + 0.15))
+    grid = np.linspace(lo, hi, 64)
+    i = int(np.argmin(np.sum((c.point(grid) - q) ** 2, axis=1)))
+    s = float(grid[i])
+    for _ in range(20):
+        c0, c1, c2 = c.derivatives(np.array([s]), order=2)
+        r = c0[0] - q
+        g = float(r @ c1[0])
+        gp = float(c1[0] @ c1[0] + r @ c2[0])
+        if abs(g) < 1e-10 or gp <= 0.0:
+            break
+        s_new = min(1.0, max(0.0, s - g / gp))
+        if abs(s_new - s) < 1e-15:
+            s = s_new
+            break
+        s = s_new
+    best_s, best_d = None, None
+    for cand in sorted([s, float(grid[i]), 0.0, 1.0]):
+        dist = float(np.linalg.norm(c.point(cand) - q))
+        if best_d is None or dist < best_d - 1e-15:
+            best_s, best_d = cand, dist
+    return best_s, best_d
+
+
+def test_project_matches_four_point_reference():
+    rng = np.random.default_rng(13)
+    for c in [wiggly()] + [random_heading_path(rng) for _ in range(10)]:
+        lo, hi = c.control_points.min(axis=0), c.control_points.max(axis=0)
+        for _ in range(10):
+            q = rng.uniform(lo - 10.0, hi + 10.0)
+            hint = float(rng.uniform()) if rng.random() < 0.5 else None
+            s_ref, d_ref = four_point_project(c, q, hint)
+            s_star, dist = c.project(q, hint=hint)
+            assert abs(s_star - s_ref) <= 1e-12
+            assert abs(dist - d_ref) <= 1e-12 * max(d_ref, 1.0)
+
+
+def test_project_tie_between_ends_takes_smallest_parameter():
+    # A symmetric arch: both ends are exactly as far from q, and closer
+    # than any interior point.
+    arch = NurbsCurve(degree=3, control_points=np.array(
+        [[-10.0, 0.0], [-10.0, 10.0], [10.0, 10.0], [10.0, 0.0]]),
+        weights=np.ones(4), knots=clamped_uniform_knots(4, 3))
+    q = np.array([0.0, -5.0])
+    assert four_point_project(arch, q) == (0.0, math.hypot(10.0, 5.0))
+    assert arch.project(q) == (0.0, math.hypot(10.0, 5.0))
 
 
 # -- splitting ------------------------------------------------------------
