@@ -309,10 +309,15 @@ class NurbsCurve:
         if not ok.all():
             # Parametric slowdowns: take the larger curvature from a
             # symmetric offset instead of dividing by a vanishing tangent.
+            # Within CURV_OFFSET of a domain end only the inward offset
+            # exists. One level only, with no recursion: where an offset's
+            # tangent vanishes too (a stationary stretch), it reads zero.
             bad = np.nonzero(~ok)[0]
-            k = self._curvature_values(np.concatenate(
-                [np.maximum(0.0, s_arr[bad] - CURV_OFFSET),
-                 np.minimum(1.0, s_arr[bad] + CURV_OFFSET)]))
+            lo = s_arr[bad] - CURV_OFFSET
+            hi = s_arr[bad] + CURV_OFFSET
+            lo, hi = np.where(lo < 0.0, hi, lo), np.where(hi > 1.0, lo, hi)
+            _, d1, d2 = self._derivs(np.concatenate([lo, hi]), 2)
+            k, _ = curvature_values(d1, d2)
             kappa[bad] = np.maximum(k[: bad.size], k[bad.size:])
         return kappa
 

@@ -1,14 +1,18 @@
 """Success-history adaptive differential evolution with linear population
-reduction and feasibility-rule constraint handling.
+reduction and feasibility-rule constraint handling (L-SHADE, Tanabe &
+Fukunaga, CEC 2014).
 
-current-to-pbest/1 mutation with an external archive, binomial crossover,
-Cauchy/normal parameter sampling around a circular success memory, and Deb
-feasibility rules for selection. Generation-synchronous: every trial of a
-generation is drawn from the same population and archive, the trials are
-evaluated as one batch, and selection, archive and success-memory updates
-follow. Supports both a fixed evaluation budget (deterministic, ending at
-exactly the budget) and a wall-clock deadline checked between chunks of a
-generation's batch.
+current-to-pbest/1 mutation with an external archive (Storn & Price 1997;
+Zhang & Sanderson 2009), binomial crossover, Cauchy/normal parameter
+sampling around a circular success memory, and Deb feasibility rules for
+selection. Generation-synchronous: every trial of a generation is drawn
+from the same population and archive, the trials are evaluated as one
+batch, and selection, archive and success-memory updates follow. The
+population is held as arrays (positions `(n, dimension)`, objectives and
+violations `(n,)`), so a generation costs a fixed number of array
+operations whatever its size. Supports both a fixed evaluation budget
+(deterministic, ending at exactly the budget) and a wall-clock deadline
+checked between chunks of a generation's batch.
 """
 
 from __future__ import annotations
@@ -122,66 +126,123 @@ class OptimizerStats:
     wall_time: float = 0.0
 
 
-def select(parent: Individual, trial: Individual) -> Individual:
-    """Deb feasibility rules; the parent wins exact ties."""
-    return trial if trial.key() < parent.key() else parent
+def feasibility_key(f: np.ndarray,
+                    violation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deb feasibility-rule ordering as two arrays `(infeasible, value)`:
+    feasible rows first, ranked by objective, then infeasible rows ranked
+    by violation, in the order of `Individual.key`."""
+    infeasible = violation > 0.0
+    return infeasible, np.where(infeasible, violation, f)
 
 
-def generate_trial(target_idx: int, population: list, archive: list,
-                   f_scale: float, cr: float, p_best: float,
-                   lower: np.ndarray, upper: np.ndarray,
-                   rng: np.random.Generator, order=None) -> np.ndarray:
-    """current-to-pbest/1 mutation, binomial crossover, midpoint bound repair.
+def rank(f: np.ndarray, violation: np.ndarray) -> np.ndarray:
+    """Indices in feasibility-rule order, best first; exact ties keep their
+    index order."""
+    infeasible, value = feasibility_key(f, violation)
+    return np.lexsort((value, infeasible))
 
-    `order` may carry a precomputed feasibility-rule ranking of the
-    population (indices, best first); it is recomputed when omitted.
+
+def select(f_parent: np.ndarray, v_parent: np.ndarray,
+           f_trial: np.ndarray, v_trial: np.ndarray) -> np.ndarray:
+    """Deb feasibility rules as a mask: True where the trial replaces its
+    parent. The parent wins exact ties."""
+    p_bad, p_value = feasibility_key(f_parent, v_parent)
+    t_bad, t_value = feasibility_key(f_trial, v_trial)
+    return (t_bad < p_bad) | ((t_bad == p_bad) & (t_value < p_value))
+
+
+def _uniform_ints(u: np.ndarray, n) -> np.ndarray:
+    """Uniform integers in [0, n) from uniform floats in [0, 1): the product
+    of u < 1 and an integer n below 2**53 rounds to below n. One
+    `rng.random` call serves several index draws this way, at a fraction
+    of the cost of `rng.integers` per array."""
+    return (u * n).astype(np.intp)
+
+
+def draw_parameters(memory: SuccessMemory, k: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Scale factors and crossover rates of k trials, each around a
+    uniformly drawn memory slot: F from Cauchy(m_f, 0.1), redrawn while
+    not positive and capped at 1; CR from N(m_cr, 0.1) clipped to [0, 1]."""
+    slot = _uniform_ints(rng.random(k), memory.size)
+    f_scale = memory.m_f[slot] + 0.1 * rng.standard_cauchy(k)
+    while (low := f_scale <= 0.0).any():
+        f_scale[low] = memory.m_f[slot[low]] \
+            + 0.1 * rng.standard_cauchy(np.count_nonzero(low))
+    cr = memory.m_cr[slot] + 0.1 * rng.standard_normal(k)
+    return np.minimum(f_scale, 1.0), np.minimum(np.maximum(cr, 0.0), 1.0)
+
+
+def draw_donors(targets: np.ndarray, n: int, n_archive: int, order: np.ndarray,
+                p_best: float, rng: np.random.Generator):
+    """Donor rows `(pbest, r1, r2)` of current-to-pbest/1 for each target
+    row of a population of n: pbest uniform over the best
+    max(2, round(p_best * n)) of `order` (a feasibility-rule ranking, best
+    first), r1 uniform over the population rows other than the target, r2
+    uniform over the rows of the population followed by the archive, other
+    than the target and r1.
+
+    The exclusions need no redraw: r1 is the target shifted by 1 to n - 1
+    rows (mod n), and r2 is drawn from the n + n_archive - 2 allowed rows
+    and stepped past the two excluded ones in ascending order.
     """
-    n = len(population)
     if n < 4:
         raise ValueError("population must hold at least four individuals")
-    target = population[target_idx]
-    if order is None:
-        order = sorted(range(n), key=lambda i: population[i].key())
     n_top = max(2, int(round(p_best * n)))
-    pbest = population[order[int(rng.integers(n_top))]]
-
-    r1 = int(rng.integers(n))
-    while r1 == target_idx:
-        r1 = int(rng.integers(n))
-    n_union = n + len(archive)
-    r2 = int(rng.integers(n_union))
-    while r2 == target_idx or r2 == r1:
-        r2 = int(rng.integers(n_union))
-    x_r2 = population[r2].x if r2 < n else archive[r2 - n]
-
-    mutant = target.x + f_scale * (pbest.x - target.x) \
-        + f_scale * (population[r1].x - x_r2)
-    below = mutant < lower
-    above = mutant > upper
-    mutant[below] = 0.5 * (lower[below] + target.x[below])
-    mutant[above] = 0.5 * (upper[above] + target.x[above])
-
-    dim = target.x.shape[0]
-    cross = rng.random(dim) < cr
-    cross[int(rng.integers(dim))] = True
-    return np.where(cross, mutant, target.x)
+    u = rng.random((3, targets.size))
+    pbest = order[_uniform_ints(u[0], n_top)]
+    r1 = (targets + 1 + _uniform_ints(u[1], n - 1)) % n
+    r2 = _uniform_ints(u[2], n + n_archive - 2)
+    r2 += r2 >= np.minimum(targets, r1)
+    r2 += r2 >= np.maximum(targets, r1)
+    return pbest, r1, r2
 
 
-def adapt(successes: list, memory: SuccessMemory, eval_count: int,
-          config: OptimizerConfig, n_init: int) -> int:
+def make_trials(targets: np.ndarray, donors, union: np.ndarray,
+                f_scale: np.ndarray, cr: np.ndarray, lower: np.ndarray,
+                upper: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """current-to-pbest/1 mutation, midpoint bound repair and binomial
+    crossover with one forced coordinate per trial. `union` holds the
+    population rows followed by the archive rows; `targets` and `donors`
+    index it."""
+    pbest, r1, r2 = donors
+    x = union[targets]
+    mutant = x + f_scale[:, None] * (union[pbest] - x + union[r1] - union[r2])
+    mutant = np.where(mutant < lower, 0.5 * (lower + x), mutant)
+    mutant = np.where(mutant > upper, 0.5 * (upper + x), mutant)
+    k, dim = x.shape
+    u = rng.random((k, dim + 1))
+    cross = u[:, :dim] < cr[:, None]
+    cross[np.arange(k), _uniform_ints(u[:, dim], dim)] = True
+    return np.where(cross, mutant, x)
+
+
+def update_archive(archive: np.ndarray, replaced: np.ndarray, max_size: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Append the replaced parents, then keep a uniformly drawn subset of
+    at most `max_size` rows."""
+    archive = np.concatenate([archive, replaced])
+    if len(archive) > max_size:
+        archive = archive[rng.permutation(len(archive))[:max_size]]
+    return archive
+
+
+def adapt(f_scale: np.ndarray, cr: np.ndarray, gain: np.ndarray,
+          memory: SuccessMemory, eval_count: int, config: OptimizerConfig,
+          n_init: int) -> int:
     """Update the success memory and return the new population size.
 
-    Successes are (F, CR, improvement) triples; F uses the weighted Lehmer
-    mean, CR the weighted arithmetic mean. Population size shrinks linearly
-    with the spent evaluation budget.
+    The successful trials' scale factors, crossover rates and
+    improvements come as three arrays; F uses the improvement-weighted
+    Lehmer mean, CR the weighted arithmetic mean. Population size shrinks
+    linearly with the spent evaluation budget.
     """
-    if successes:
-        fs = np.array([s[0] for s in successes])
-        crs = np.array([s[1] for s in successes])
-        w = np.array([s[2] for s in successes])
-        w = w / np.sum(w) if np.sum(w) > 0 else np.full(len(successes), 1.0 / len(successes))
-        memory.m_f[memory.index] = float(np.sum(w * fs * fs) / np.sum(w * fs))
-        memory.m_cr[memory.index] = float(np.sum(w * crs))
+    if f_scale.size:
+        total = gain.sum()
+        w = gain / total if total > 0 else np.full(gain.size, 1.0 / gain.size)
+        wf = w * f_scale
+        memory.m_f[memory.index] = (wf * f_scale).sum() / wf.sum()
+        memory.m_cr[memory.index] = (w * cr).sum()
         memory.index = (memory.index + 1) % memory.size
     frac = min(eval_count / config.budget, 1.0)
     return max(config.n_min, int(round(n_init - frac * (n_init - config.n_min))))
@@ -202,6 +263,7 @@ def optimize(problem: ProblemDef, config: OptimizerConfig,
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     dim = problem.dimension
+    lower, upper = problem.lower, problem.upper
     n_init = config.n_init if config.n_init is not None else 18 * dim
     n_init = max(n_init, config.n_min)
     stats = OptimizerStats()
@@ -221,90 +283,80 @@ def optimize(problem: ProblemDef, config: OptimizerConfig,
             return min(wanted, config.n_min)
         return min(wanted, max(1, int(0.5 * left / per_candidate)))
 
-    def evaluate(count: int, draw) -> list[Individual]:
-        """Evaluate up to `count` candidates, taking rows [a, b) from
-        draw(a, b) chunk by chunk; fewer when the deadline passes."""
+    def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Objectives and violations of the leading rows of `xs`, evaluated
+        chunk by chunk: all rows, or fewer when the deadline passes."""
         nonlocal per_candidate
-        out: list[Individual] = []
-        while len(out) < count:
-            m = chunk_size(count - len(out))
+        f_out = np.empty(len(xs))
+        v_out = np.empty(len(xs))
+        done = 0
+        while done < len(xs):
+            m = chunk_size(len(xs) - done)
             if m == 0:
                 break
             t0 = time.perf_counter()
-            xs = draw(len(out), len(out) + m)
-            f, phi = problem.evaluate_batch(xs)
+            f_out[done:done + m], v_out[done:done + m] = \
+                problem.evaluate_batch(xs[done:done + m])
             per_candidate = (time.perf_counter() - t0) / m
-            out += [Individual(x=x, f=float(fx), violation=float(px))
-                    for x, fx, px in zip(xs, f, phi)]
-        stats.evaluations += len(out)
-        return out
+            done += m
+        stats.evaluations += done
+        return f_out[:done], v_out[:done]
 
-    seeds = []
+    pop_x = lower + rng.random((n_init, dim)) * (upper - lower)
     if warm_start is not None:
         ws = warm_start if isinstance(warm_start, (list, tuple)) else [warm_start]
-        seeds = [np.clip(np.asarray(w, dtype=float), problem.lower, problem.upper)
-                 for w in ws]
-
-    pop_x = problem.lower + rng.random((n_init, dim)) * (problem.upper - problem.lower)
-    for i, w in enumerate(seeds[:n_init]):
-        pop_x[i] = w
+        for i, w in enumerate(ws[:n_init]):
+            pop_x[i] = np.clip(np.asarray(w, dtype=float), lower, upper)
 
     n_first = min(n_init, config.budget)
-    population = evaluate(n_first, lambda a, b: pop_x[a:b])
-    if not population:
+    pop_f, pop_v = evaluate(pop_x[:n_first])
+    if pop_f.size == 0:
         raise RuntimeError("optimizer completed zero evaluations")
-    timed_out = len(population) < n_first
+    timed_out = pop_f.size < n_first
+    pop_x = pop_x[:pop_f.size]
+    i = rank(pop_f, pop_v)[0]
+    best = Individual(x=pop_x[i].copy(), f=float(pop_f[i]),
+                      violation=float(pop_v[i]))
 
-    best = min(population, key=lambda ind: ind.key())
     memory = SuccessMemory(size=config.memory_size)
-    archive: list[np.ndarray] = []
+    archive = np.empty((0, dim))
 
     while not timed_out and stats.evaluations < config.budget:
         stats.generations += 1
-        n = len(population)
-        order = sorted(range(n), key=lambda i: population[i].key())
-        n_trials = min(n, config.budget - stats.evaluations)
-        params: list[tuple[float, float]] = []
+        n = pop_f.size
+        order = rank(pop_f, pop_v)
+        k = min(n, config.budget - stats.evaluations)
+        targets = np.arange(k)
+        f_scale, cr = draw_parameters(memory, k, rng)
+        donors = draw_donors(targets, n, len(archive), order, config.p_best, rng)
+        trials = make_trials(targets, donors, np.concatenate([pop_x, archive]),
+                             f_scale, cr, lower, upper, rng)
 
-        def draw_trials(a: int, b: int) -> np.ndarray:
-            rows = []
-            for i in range(a, b):
-                r = int(rng.integers(memory.size))
-                f_scale = memory.m_f[r] + 0.1 * rng.standard_cauchy()
-                while f_scale <= 0.0:
-                    f_scale = memory.m_f[r] + 0.1 * rng.standard_cauchy()
-                f_scale = min(f_scale, 1.0)
-                cr = float(np.clip(rng.normal(memory.m_cr[r], 0.1), 0.0, 1.0))
-                params.append((f_scale, cr))
-                rows.append(generate_trial(i, population, archive, f_scale, cr,
-                                           config.p_best, problem.lower,
-                                           problem.upper, rng, order=order))
-            return np.array(rows)
+        trial_f, trial_v = evaluate(trials)
+        m = trial_f.size
+        timed_out = m < k
 
-        trials = evaluate(n_trials, draw_trials)
-        timed_out = len(trials) < n_trials
+        win = np.nonzero(select(pop_f[:m], pop_v[:m], trial_f, trial_v))[0]
+        if win.size:
+            # The best so far changes only to a strictly better candidate,
+            # and among equal ones to the first found.
+            j = win[rank(trial_f[win], trial_v[win])[0]]
+            if select(best.f, best.violation, trial_f[j], trial_v[j]):
+                best = Individual(x=trials[j].copy(), f=float(trial_f[j]),
+                                  violation=float(trial_v[j]))
+        gain = np.where(pop_v[win] != trial_v[win], pop_v[win] - trial_v[win],
+                        pop_f[win] - trial_f[win])
+        archive = update_archive(
+            archive, pop_x[win], max(4, int(round(config.archive_rate * n))), rng)
+        pop_x[win] = trials[win]
+        pop_f[win] = trial_f[win]
+        pop_v[win] = trial_v[win]
 
-        successes = []
-        new_population = list(population)
-        for i, trial in enumerate(trials):
-            parent = population[i]
-            if select(parent, trial) is trial:
-                new_population[i] = trial
-                archive.append(parent.x)
-                improvement = parent.violation - trial.violation \
-                    if parent.violation != trial.violation else parent.f - trial.f
-                successes.append((*params[i], max(improvement, 1e-300)))
-                best = select(best, trial)
-        population = new_population
-
-        max_archive = max(4, int(round(config.archive_rate * len(population))))
-        while len(archive) > max_archive:
-            archive.pop(int(rng.integers(len(archive))))
-
-        pop_size = adapt(successes, memory, stats.evaluations, config, n_init)
-        if pop_size < len(population):
-            population.sort(key=lambda ind: ind.key())
-            population = population[:pop_size]
+        pop_size = adapt(f_scale[win], cr[win], np.maximum(gain, 1e-300), memory,
+                         stats.evaluations, config, n_init)
+        if pop_size < n:
+            keep = rank(pop_f, pop_v)[:pop_size]
+            pop_x, pop_f, pop_v = pop_x[keep], pop_f[keep], pop_v[keep]
 
     stats.wall_time = time.perf_counter() - start
     return best, stats

@@ -96,6 +96,28 @@ def test_quarter_circle_unit_curvature():
     assert np.max(np.abs(quarter_circle().curvatures(s) - 1.0)) <= 1e-6
 
 
+def test_zero_tangent_at_domain_end_uses_inward_offset():
+    # A doubled first control point stops the tangent at s = 0; the
+    # symmetric offset used to clamp back onto the same end and recurse
+    # without end. Reversed, the same happens at s = 1.
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 10.0]])
+    knots = clamped_uniform_knots(4, 3)
+    c = NurbsCurve(degree=3, control_points=pts, weights=np.ones(4), knots=knots)
+    r = NurbsCurve(degree=3, control_points=pts[::-1].copy(), weights=np.ones(4),
+                   knots=knots)
+    assert c.curvatures([0.0])[0] == pytest.approx(c.curvatures([1e-6])[0],
+                                                   rel=1e-12)
+    assert r.curvatures([1.0])[0] == pytest.approx(r.curvatures([1.0 - 1e-6])[0],
+                                                   rel=1e-12)
+    # Near the stop the curve is (30 s^2, 10 s^3): curvature 1 / (120 s).
+    assert c.curvatures([0.0])[0] == pytest.approx(1.0 / 120e-6, rel=1e-4)
+    for curve in (c, r):
+        ends = curve.curvatures([0.0, 1.0])
+        peak, _ = curve.max_curvature(64)
+        assert np.all(np.isfinite(ends)) and np.isfinite(peak)
+        assert peak >= ends.max()
+
+
 def test_start_tangent_parallel_to_first_leg():
     c = wiggly()
     tangent = c.derivatives(0.0, order=1)[1][0]
