@@ -12,7 +12,13 @@ population is held as arrays (positions `(n, dimension)`, objectives and
 violations `(n,)`), so a generation costs a fixed number of array
 operations whatever its size. Supports both a fixed evaluation budget
 (deterministic, ending at exactly the budget) and a wall-clock deadline
-checked between chunks of a generation's batch.
+checked between chunks of a generation's batch. The deadline is first
+checked after the probe chunk, the leading min(n_init, n_min, budget)
+rows of the initial population, so every run returns a best, and a warm
+start in the first row is always among the candidates it is chosen from.
+
+The memory size, p-best fraction and archive rate are the L-SHADE
+settings of Tanabe & Fukunaga (CEC 2014).
 """
 
 from __future__ import annotations
@@ -21,6 +27,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+
+MEMORY_SIZE = 6  # success-memory slots
+P_BEST = 0.11  # share of the population that pbest is drawn from
+ARCHIVE_RATE = 1.4  # archive capacity over the population size
 
 
 @dataclass
@@ -104,9 +114,6 @@ class OptimizerConfig:
     budget: int
     n_init: int = None  # defaults to 18 * dimension
     n_min: int = 4
-    memory_size: int = 6
-    p_best: float = 0.11
-    archive_rate: float = 1.4
     deadline: float = None  # wall seconds, None = budget only
     seed: int = 0
 
@@ -254,11 +261,12 @@ def optimize(problem: ProblemDef, config: OptimizerConfig,
 
     Deterministic for a fixed seed when no deadline is set; the last
     generation is cut short so that exactly `budget` candidates are
-    evaluated. With a deadline, each generation's batch is evaluated in
-    chunks sized from the measured cost per candidate so that a chunk
-    started before the deadline overruns it by about one candidate.
-    `warm_start` may be one vector or a list of vectors injected into the
-    initial population (clipped to bounds).
+    evaluated. With a deadline, the probe chunk of min(n_init, n_min,
+    budget) candidates is always evaluated; after it, each batch is
+    evaluated in chunks sized from the measured cost per candidate so that
+    a chunk started before the deadline overruns it by about one
+    candidate. `warm_start` may be one vector or a list of vectors
+    injected into the initial population (clipped to bounds).
     """
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -272,15 +280,16 @@ def optimize(problem: ProblemDef, config: OptimizerConfig,
 
     def chunk_size(wanted: int) -> int:
         """Candidates to evaluate next: all of them without a deadline;
-        otherwise a probe of n_min first, then as many as half the time
-        left is expected to cover (at least one); zero past the deadline."""
+        otherwise a probe of n_min first, whatever the clock says, then as
+        many as half the time left is expected to cover (at least one);
+        zero past the deadline."""
         if deadline is None:
             return wanted
+        if per_candidate is None:
+            return min(wanted, config.n_min)
         left = deadline - time.perf_counter()
         if left <= 0.0:
             return 0
-        if per_candidate is None:
-            return min(wanted, config.n_min)
         return min(wanted, max(1, int(0.5 * left / per_candidate)))
 
     def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,15 +319,13 @@ def optimize(problem: ProblemDef, config: OptimizerConfig,
 
     n_first = min(n_init, config.budget)
     pop_f, pop_v = evaluate(pop_x[:n_first])
-    if pop_f.size == 0:
-        raise RuntimeError("optimizer completed zero evaluations")
     timed_out = pop_f.size < n_first
     pop_x = pop_x[:pop_f.size]
     i = rank(pop_f, pop_v)[0]
     best = Individual(x=pop_x[i].copy(), f=float(pop_f[i]),
                       violation=float(pop_v[i]))
 
-    memory = SuccessMemory(size=config.memory_size)
+    memory = SuccessMemory(size=MEMORY_SIZE)
     archive = np.empty((0, dim))
 
     while not timed_out and stats.evaluations < config.budget:
@@ -328,7 +335,7 @@ def optimize(problem: ProblemDef, config: OptimizerConfig,
         k = min(n, config.budget - stats.evaluations)
         targets = np.arange(k)
         f_scale, cr = draw_parameters(memory, k, rng)
-        donors = draw_donors(targets, n, len(archive), order, config.p_best, rng)
+        donors = draw_donors(targets, n, len(archive), order, P_BEST, rng)
         trials = make_trials(targets, donors, np.concatenate([pop_x, archive]),
                              f_scale, cr, lower, upper, rng)
 
@@ -347,7 +354,7 @@ def optimize(problem: ProblemDef, config: OptimizerConfig,
         gain = np.where(pop_v[win] != trial_v[win], pop_v[win] - trial_v[win],
                         pop_f[win] - trial_f[win])
         archive = update_archive(
-            archive, pop_x[win], max(4, int(round(config.archive_rate * n))), rng)
+            archive, pop_x[win], max(4, int(round(ARCHIVE_RATE * n))), rng)
         pop_x[win] = trials[win]
         pop_f[win] = trial_f[win]
         pop_v[win] = trial_v[win]

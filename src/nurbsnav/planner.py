@@ -29,14 +29,6 @@ FEAS_EPS = 1e-12
 GAIN_RTOL = 1e-9  # relative gain below which a variation is not flown
 
 
-class ReplanError(RuntimeError):
-    """Optimization produced no evaluations; carries the previous curve."""
-
-    def __init__(self, message: str, curve: NurbsCurve):
-        super().__init__(message)
-        self.curve = curve
-
-
 @dataclass(frozen=True)
 class Waypoint:
     position: np.ndarray
@@ -60,7 +52,6 @@ class PlannerConfig:
     n_interior: int = 8
     n_curv_samples: int = 64
     n_vo_samples: int = 20
-    n_obs_samples: int = 64
     waypoint_tolerance: float = 3.0
     budget_mode: bool = False  # True: deterministic, no wall deadline
     disable_vo: bool = False
@@ -172,23 +163,17 @@ def constraint_violations(candidate: NurbsCurve, statics, dynamics,
 
     All components are non-negative and zero iff the sampled constraint
     holds; `scale` multiplies every sampling density (used for the 4x
-    post-check of accepted plans).
+    post-check of accepted plans). Static clearance is sampled on the
+    curvature grid.
     """
     curv_grid = np.linspace(0.0, 1.0, config.n_curv_samples * scale)
     c0, kappa = candidate.positions_and_curvatures(curv_grid)
 
     v_obs = 0.0
-    statics = list(statics)
-    if statics:
-        n_obs = config.n_obs_samples * scale
-        # Reuse the curvature-grid positions when the densities coincide so
-        # both families cost one curve evaluation.
-        pts = c0 if n_obs == curv_grid.size \
-            else candidate.point(np.linspace(0.0, 1.0, n_obs))
-        for s in statics:
-            d = np.linalg.norm(pts - s.center, axis=1)
-            v_obs += float(np.sum(np.maximum(
-                0.0, (s.radius + config.r_safe + config.r_u) - d)))
+    for s in statics:
+        d = np.linalg.norm(c0 - s.center, axis=1)
+        v_obs += float(np.sum(np.maximum(
+            0.0, (s.radius + config.r_safe + config.r_u) - d)))
 
     v_curv = 0.0
     if not config.disable_curvature:
@@ -226,9 +211,10 @@ class _CycleKernel:
     Built once per replan cycle on the cut path. apply_delta keeps the knot
     vector, so every candidate of the cycle shares one B-spline basis: its
     values and derivatives are tabulated here at the arc-length Gauss nodes
-    and on the curvature grid, and a chunk of P candidates then costs a few
-    B @ H products on the (P, n, 3) homogeneous control points. Agrees with
-    apply_delta + total_length + constraint_violations to rounding.
+    and on the curvature grid, which static clearance shares, and a chunk
+    of P candidates then costs a few B @ H products on the (P, n, 3)
+    homogeneous control points. Agrees with apply_delta + total_length +
+    constraint_violations to rounding.
     """
 
     def __init__(self, base: NurbsCurve, lower, upper, statics, dynamics,
@@ -248,12 +234,6 @@ class _CycleKernel:
         self.centers = np.array([s.center for s in statics]).reshape(-1, 2)
         self.clearance = np.array([s.radius + config.r_safe + config.r_u
                                    for s in statics])
-        # Static clearance reuses the curvature-grid positions when the
-        # densities coincide.
-        self.obs_basis = None
-        if statics and config.n_obs_samples != config.n_curv_samples:
-            self.obs_basis = geometry.basis_matrices(
-                knots, degree, np.linspace(0.0, 1.0, config.n_obs_samples), 0)
         self.movers = None
         if not config.disable_vo and dynamics:
             self.movers = velocity_obstacle.obstacle_arrays(
@@ -288,10 +268,8 @@ class _CycleKernel:
 
         v = np.zeros((xs.shape[0], 3))
         if self.clearance.size:
-            pts = c0 if self.obs_basis is None \
-                else self._derivs(self.obs_basis, hom_rows)[0]
-            d = np.sqrt((pts[0][..., None] - self.centers[:, 0]) ** 2
-                        + (pts[1][..., None] - self.centers[:, 1]) ** 2)
+            d = np.sqrt((c0[0][..., None] - self.centers[:, 0]) ** 2
+                        + (c0[1][..., None] - self.centers[:, 1]) ** 2)
             v[:, 0] = np.maximum(0.0, self.clearance - d).sum(axis=(1, 2))
         if not config.disable_curvature:
             v[:, 1] = np.maximum(0.0, kappa - config.kappa_max - 1e-9).sum(axis=1) \
@@ -351,10 +329,10 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
     """One deliberative cycle: cut, optimize the variation, verify.
 
     Returns None when the path is exhausted (the caller switches to the
-    next waypoint). The cut is kept unchanged unless the search beats it
-    by more than rounding (see _real_gain). An infeasible best is returned
-    flagged infeasible; the tracker keeps following it and retries next
-    cycle.
+    next waypoint). The cut is flown unchanged when it has no movable
+    points to search, or when the search does not beat it by more than
+    rounding (see _real_gain). An infeasible plan is returned flagged
+    infeasible; the tracker keeps following it and retries next cycle.
     """
     t0 = time.perf_counter()
     cut, anchor = cut_path_at_projection(curve, uav_state, config.t_replan,
@@ -362,44 +340,35 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
     if cut is None:
         return None
 
-    if geometry.movable_count(cut) < 1:
-        feasible, violations = _verify(cut, statics, sensed, config,
-                                       uav_state.speed)
-        length = cut.total_length()
-        return ReplanResult(curve=cut, feasible=feasible, f=length,
-                            violations=violations,
-                            wall_time=time.perf_counter() - t0, evals=0,
-                            delta=None, anchor=anchor,
-                            remaining_length=length)
-
-    lower, upper = delta_bounds(cut, config)
-    kernel = _CycleKernel(cut, lower, upper, statics, sensed, config,
-                          uav_state.speed)
-    problem = ProblemDef(dimension=lower.size, lower=lower, upper=upper,
-                         batch=kernel.evaluate)
-    deadline = None if config.budget_mode else 0.8 * config.t_replan
-    opt_cfg = replace(config.optimizer, seed=seed, deadline=deadline)
-    warm = [geometry.neutral_delta(cut)]
-    if warm_delta is not None:
-        warm.append(_align_delta(np.asarray(warm_delta, dtype=float),
-                                 lower.size))
-    try:
+    remaining = cut.total_length()
+    plan, f, evals, delta = cut, remaining, 0, None
+    if geometry.movable_count(cut) >= 1:
+        lower, upper = delta_bounds(cut, config)
+        kernel = _CycleKernel(cut, lower, upper, statics, sensed, config,
+                              uav_state.speed)
+        problem = ProblemDef(dimension=lower.size, lower=lower, upper=upper,
+                             batch=kernel.evaluate)
+        deadline = None if config.budget_mode else 0.8 * config.t_replan
+        opt_cfg = replace(config.optimizer, seed=seed, deadline=deadline)
+        warm = [geometry.neutral_delta(cut)]
+        if warm_delta is not None:
+            warm.append(_align_delta(np.asarray(warm_delta, dtype=float),
+                                     lower.size))
         best, stats = optimize(problem, opt_cfg, warm_start=warm)
-    except RuntimeError as exc:
-        raise ReplanError(str(exc), curve) from exc
+        evals = stats.evaluations
+        f0, v0 = problem.evaluate_batch(warm[0][None])
+        f, delta = float(f0[0]), warm[0]
+        if _real_gain(best, f0[0], v0[0]):
+            plan = geometry.apply_delta(cut, best.x, lower, upper)
+            f, delta = best.f, np.array(best.x)
 
-    f0, v0 = problem.evaluate_batch(warm[0][None])
-    if not _real_gain(best, f0[0], v0[0]):
-        best = replace(best, x=warm[0], f=float(f0[0]), violation=float(v0[0]))
-    best_curve = geometry.apply_delta(cut, best.x, lower, upper)
-    feasible, violations = _verify(best_curve, statics, sensed, config,
+    feasible, violations = _verify(plan, statics, sensed, config,
                                    uav_state.speed)
-    return ReplanResult(curve=best_curve, feasible=feasible, f=best.f,
+    return ReplanResult(curve=plan, feasible=feasible, f=f,
                         violations=violations,
-                        wall_time=time.perf_counter() - t0,
-                        evals=stats.evaluations, delta=np.array(best.x),
-                        anchor=anchor,
-                        remaining_length=cut.total_length())
+                        wall_time=time.perf_counter() - t0, evals=evals,
+                        delta=delta, anchor=anchor,
+                        remaining_length=remaining)
 
 
 def mission_loop(waypoints: list, world: World, config: PlannerConfig,
@@ -461,14 +430,11 @@ def mission_loop(waypoints: list, world: World, config: PlannerConfig,
                                        "curve": active.to_dict()})
                 sensed = world.sense(state.position, config.r_view)
                 statics = world.visible_statics(state.position, config.r_view)
-                try:
-                    result = replan_cycle(active, state, sensed, config,
-                                          seed=seed * 100003 + cycle,
-                                          statics=statics,
-                                          warm_delta=warm_delta,
-                                          anchor_hint=anchor_hint)
-                except ReplanError:
-                    result = None
+                result = replan_cycle(active, state, sensed, config,
+                                      seed=seed * 100003 + cycle,
+                                      statics=statics,
+                                      warm_delta=warm_delta,
+                                      anchor_hint=anchor_hint)
                 cycle += 1
                 pending = result
                 if result is None and dist_to_go > config.waypoint_tolerance:

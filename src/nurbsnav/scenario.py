@@ -161,11 +161,6 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
             budget=_integer(pl.get("budget", 512), "planner.budget", 1),
             n_init=_integer(pl.get("n_init", 40), "planner.n_init", 1),
             n_min=_integer(pl.get("n_min", 4), "planner.n_min", 4),
-            memory_size=_integer(pl.get("memory_size", 6),
-                                 "planner.memory_size", 1),
-            p_best=_number(pl.get("p_best", 0.11), "planner.p_best"),
-            archive_rate=_number(pl.get("archive_rate", 1.4),
-                                 "planner.archive_rate"),
         )
         planner = PlannerConfig(
             t_replan=_number(pl.get("T_s", 0.1), "planner.T_s"),
@@ -179,8 +174,6 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
                                     "planner.n_curv_samples", 2),
             n_vo_samples=_integer(pl.get("n_vo_samples", 20),
                                   "planner.n_vo_samples", 2),
-            n_obs_samples=_integer(pl.get("n_obs_samples", 64),
-                                   "planner.n_obs_samples", 1),
             waypoint_tolerance=_number(pl.get("waypoint_tolerance", 3.0),
                                        "planner.waypoint_tolerance"),
             budget_mode=_boolean(pl.get("budget_mode", False),

@@ -9,6 +9,7 @@ optimizer can rank infeasible candidates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,25 +46,13 @@ def time_to_collision(rel_pos, rel_vel, radius: float) -> float | None:
 
     Returns 0 when the discs already overlap. rel_pos is obstacle minus
     agent, rel_vel is agent minus obstacle, so closure shrinks the gap.
+    The one-pair form of _ttc_array, the kernel the search uses.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    r = np.asarray(rel_pos, dtype=float)
-    v = np.asarray(rel_vel, dtype=float)
-    c = float(r @ r) - radius * radius
-    if c < 0.0:
-        return 0.0
-    a = float(v @ v)
-    if a == 0.0:
-        return 0.0 if c <= 0.0 else None
-    b = float(r @ v)
-    disc = b * b - a * c
-    if disc < 0.0:
-        return None
-    t_first = (b - np.sqrt(disc)) / a
-    if t_first >= 0.0:
-        return float(t_first)
-    return None
+    t = float(_ttc_array(np.asarray(rel_pos, dtype=float),
+                         np.asarray(rel_vel, dtype=float), radius))
+    return None if math.isnan(t) else t
 
 
 def _ttc_array(rel_pos: np.ndarray, rel_vel: np.ndarray,

@@ -229,6 +229,20 @@ def test_seed_flag_overrides_scenario_seed(tmp_path):
     assert a != b
 
 
+def test_unread_planner_keys_are_ignored(tmp_path):
+    # LSHADE's p-best share is a constant; a scenario that still sets it,
+    # even to a share above 1, flies as one that does not.
+    odd = tiny_scenario()
+    odd["planner"]["p_best"] = 2.5
+    blobs = []
+    for name, data in (("odd", odd), ("plain", tiny_scenario())):
+        path = write_scenario(tmp_path, data, name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["--scenario", str(path), "--out", str(out)]) == EXIT_OK
+        blobs.append((out / "trajectory.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_disable_vo_flag_roundtrip(tmp_path):
     # With no obstacles the flag must not change the outcome.
     path = write_scenario(tmp_path, tiny_scenario())

@@ -297,10 +297,28 @@ def test_best_is_first_found_among_ties():
         assert np.array_equal(best.x, warm[1])
 
 
-def test_zero_evaluations_is_an_error():
-    with pytest.raises(RuntimeError):
-        optimize(sphere_problem(),
-                 OptimizerConfig(budget=100, deadline=1e-12, seed=0))
+def test_tiny_deadline_evaluates_the_probe_chunk():
+    # The deadline is first checked after the probe chunk, the leading
+    # min(n_init, n_min, budget) rows, so a run always returns a best: here
+    # the warm start, the best of its chunk.
+    chunks = []
+
+    def batch(xs):
+        chunks.append(len(xs))
+        return np.einsum("ij,ij->i", xs, xs), np.zeros((len(xs), 1))
+
+    problem = ProblemDef(dimension=5, lower=np.full(5, -5.0),
+                         upper=np.full(5, 5.0), batch=batch)
+    warm = np.zeros(5)
+    for n_init, n_min, budget, probe in ((None, 4, 100, 4), (40, 7, 100, 7),
+                                         (5, 4, 100, 4), (40, 4, 2, 2)):
+        chunks.clear()
+        best, stats = optimize(problem, OptimizerConfig(
+            budget=budget, n_init=n_init, n_min=n_min, deadline=1e-12,
+            seed=0), warm_start=warm)
+        assert chunks == [probe]
+        assert stats.evaluations == probe and stats.generations == 0
+        assert np.array_equal(best.x, warm) and best.f == 0.0
 
 
 def test_config_validation():

@@ -3,11 +3,12 @@ single replan cycles, the mission loop, and scenario parsing."""
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from nurbsnav import geometry
+from nurbsnav import geometry, lshade
 from nurbsnav.geometry import NurbsCurve
 from nurbsnav.lshade import OptimizerConfig
 from nurbsnav.planner import (PlannerConfig, Waypoint, _align_delta,
@@ -309,6 +310,66 @@ def test_replan_deadline_mode_respects_cycle_time():
         result = replan_cycle(curve, state, [], config, seed=seed)
         assert result.wall_time <= config.t_replan + 0.05
         assert result.evals > 0
+
+
+class StalledClock:
+    """Stands in for the `time` module of nurbsnav.lshade: every reading
+    comes 0.2 s after the one before, so each search stalls right after it
+    reads its start time, past its 80 ms deadline."""
+
+    def __init__(self):
+        self.offset = 0.0
+
+    def perf_counter(self) -> float:
+        self.offset += 0.2
+        return time.perf_counter() + self.offset
+
+
+def test_stalled_deadline_cycle_flies_the_cut(monkeypatch):
+    # The probe chunk is still evaluated, its first row the cut; on an
+    # empty straight leg nothing in it beats the cut.
+    monkeypatch.setattr(lshade, "time", StalledClock())
+    w0, w1 = straight_mission()
+    config = fast_config(budget_mode=False)
+    curve = initial_path(w0, w1, config)
+    state = UavState(position=np.array([0.0, 0.0]), heading=0.0, speed=15.0)
+    cut, _ = cut_path_at_projection(curve, state, config.t_replan)
+    for seed in range(3):
+        result = replan_cycle(curve, state, [], config, seed=seed)
+        assert 1 <= result.evals <= config.optimizer.n_min
+        assert np.array_equal(result.curve.control_points, cut.control_points)
+        assert np.array_equal(result.curve.weights, cut.weights)
+        assert result.feasible
+
+
+def test_stalled_deadline_mission_reaches_goal_without_leg_reset(monkeypatch):
+    # Every cycle's search stalls. The vehicle still flies the probe's best
+    # each cycle; no cycle is taken for an exhausted path, which would
+    # reset the leg to a fresh chord and log a curve without a replan.
+    monkeypatch.setattr(lshade, "time", StalledClock())
+    config = fast_config(budget_mode=False)
+    w0 = Waypoint(position=np.array([0.0, 0.0]), heading=0.4)
+    w1 = Waypoint(position=np.array([100.0, 0.0]), heading=0.0)
+    log = mission_loop([w0, w1], World(), config, seed=0, max_steps=3000)
+    assert log.success
+    assert not log.collisions
+    assert len(log.curves) == len(log.replans)
+    # Searched cycles evaluate only the probe chunk; the leg's last cycles
+    # have no movable points left and search nothing.
+    assert {r["evals"] for r in log.replans} == {0, config.optimizer.n_min}
+
+
+def test_disable_curvature_drops_the_curvature_family():
+    # The geometry of test_violations_flag_excess_curvature: a 1.2 rad turn
+    # over a 100 m chord at a 200 m turn radius.
+    w0 = Waypoint(position=np.array([0.0, 0.0]), heading=1.2)
+    w1 = Waypoint(position=np.array([100.0, 0.0]), heading=0.0)
+    state = UavState(position=np.array([0.0, 0.0]), heading=1.2, speed=15.0)
+    for disable, flagged in ((False, True), (True, False)):
+        config = fast_config(kappa_max=0.005, disable_curvature=disable)
+        curve = initial_path(w0, w1, config)
+        result = replan_cycle(curve, state, [], config, seed=0)
+        assert (result.violations["curvature"] > 0.0) == flagged
 
 
 def test_align_delta_keeps_trailing_blocks():
