@@ -5,6 +5,16 @@ curvature, arc length, knot insertion and splitting, closest-point
 projection, and the heading-constrained path constructor used by the
 planner. Curves are immutable after construction, so every operation here
 is a pure function and safe to call concurrently.
+
+Curves are evaluated in two forms, both cached per knot vector.
+`basis_matrices` tabulates the Cox-de Boor basis at given parameters; the
+planner uses it on the grids that every candidate of a cycle shares (the
+arc-length Gauss nodes and the curvature grid), where one matrix product
+per batch is the cheapest form. Every other query, a curve's own points
+and derivatives and the candidates' VO samples, uses the piecewise Bezier
+form of `piece_map`: per piece, the Bernstein coefficients of the curve
+and of its first two derivatives, so a query is a piece lookup and one
+Bernstein evaluation.
 """
 
 from __future__ import annotations
@@ -83,7 +93,7 @@ def _knot_coefs(knots_bytes: bytes, degree: int):
     return t, last, np.arange(nf), levels
 
 
-def _basis_tables(coefs, s: np.ndarray) -> list[np.ndarray]:
+def _basis_tables(coefs, s: np.ndarray, span=None) -> list[np.ndarray]:
     """B-spline basis values by Cox-de Boor, for all degrees 0..degree.
 
     tables[j] has shape (len(s), len(knots) - 1 - j). The degree-0 table
@@ -92,10 +102,13 @@ def _basis_tables(coefs, s: np.ndarray) -> list[np.ndarray]:
     right of repeated knots never lands in an empty span. The domain end
     s = 1 is assigned to the last non-empty span so clamped curves
     interpolate their final control point; s below the domain (or NaN)
-    gets an all-zero row.
+    gets an all-zero row. A given `span` replaces the search: the span's
+    polynomials then hold on its closed interval, so a span's right end
+    gives its left limits.
     """
     t, last, cols, levels = coefs
-    span = np.where(s >= t[-1], last, np.searchsorted(t, s, side="right") - 1)
+    if span is None:
+        span = np.where(s >= t[-1], last, np.searchsorted(t, s, side="right") - 1)
     tables = [(span[:, None] == cols).astype(float)]
     col = s[:, None]
     for t0, t1, inv1, inv2 in levels:
@@ -118,22 +131,27 @@ def _basis_diff(prev: np.ndarray, levels, degree: int) -> np.ndarray:
 
 
 def basis_matrices(knots: np.ndarray, degree: int, s: np.ndarray,
-                   order: int = 2) -> list:
-    """Basis matrices [B, B', B''][: order + 1] at the parameters s.
+                   order: int = 2, span=None) -> list:
+    """Basis matrices [B, B', B'', ...][: order + 1] at the parameters s.
 
     Each has shape (len(s), n_points), so B @ H gives the homogeneous
-    curve (or its derivative) for homogeneous control points H. B'' is
-    None for degree-1 curves.
+    curve (or its derivative) for homogeneous control points H.
+    Derivatives above the degree (B'' of a degree-1 curve) are None.
+    `span` optionally fixes the knot span of each parameter (see
+    _basis_tables).
     """
     coefs = _knot_coefs(knots.tobytes(), degree)
     levels = coefs[3]
-    tables = _basis_tables(coefs, s)
-    out = [tables[degree]]
-    if order >= 1:
-        out.append(_basis_diff(tables[degree - 1], levels, degree))
-    if order >= 2:
-        out.append(None if degree < 2 else _basis_diff(
-            _basis_diff(tables[degree - 2], levels, degree - 1), levels, degree))
+    tables = _basis_tables(coefs, s, span)
+    out = []
+    for k in range(order + 1):
+        if k > degree:
+            out.append(None)
+            continue
+        b = tables[degree - k]
+        for d in range(degree - k + 1, degree + 1):
+            b = _basis_diff(b, levels, d)
+        out.append(b)
     return out
 
 
@@ -197,22 +215,126 @@ def cumulative_length(half: np.ndarray, speeds: np.ndarray) -> np.ndarray:
     return np.concatenate([zero, np.cumsum(cell, axis=-1)], axis=-1)
 
 
-def invert_length(edges: np.ndarray, cum: np.ndarray,
-                  target: np.ndarray) -> np.ndarray:
-    """Monotone grid interpolant of s(L): for each target arc length the
-    parameter where the piecewise-linear cumulative length reaches it.
+def locate_length(cum: np.ndarray,
+                  target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid cell and fraction of the piecewise-linear cumulative length
+    where each target arc length is reached.
 
-    `cum` is (..., len(edges)) and `target` (..., m) with the same leading
-    axes; targets are clipped to [0, total length].
+    `cum` is (..., E) and `target` (..., m) with the same leading axes,
+    every target within [0, cum[..., -1]]. The cells are the arclen_cells
+    cells, which are also the pieces of `_piece_map`, so the fraction is
+    the local parameter on piece `idx`.
     """
-    target = np.clip(target, 0.0, cum[..., -1:])
     # Count of grid lengths <= target, i.e. searchsorted(side="right").
-    idx = np.clip(np.sum(cum[..., None, :] <= target[..., :, None], axis=-1) - 1,
-                  0, len(edges) - 2)
+    idx = np.minimum(np.count_nonzero(cum[..., None, :] <= target[..., :, None],
+                                      axis=-1) - 1, cum.shape[-1] - 2)
     lo = np.take_along_axis(cum, idx, axis=-1)
-    hi = np.take_along_axis(cum, idx + 1, axis=-1)
-    frac = np.where(hi > lo, (target - lo) / np.maximum(hi - lo, 1e-300), 0.0)
-    return edges[idx] + frac * (edges[idx + 1] - edges[idx])
+    step = np.take_along_axis(cum, idx + 1, axis=-1) - lo
+    frac = np.where(step > 0.0, (target - lo) / np.where(step > 0.0, step, 1.0), 0.0)
+    return idx, frac
+
+
+@lru_cache(maxsize=64)
+def _piece_map(knots_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Piecewise Bezier form of every curve on one knot vector.
+
+    The pieces are the arclen_cells cells, so none straddles a knot. On
+    piece k, with local parameter t = (s - a) / (b - a) on [a, b], the
+    homogeneous curve and its first two derivatives are Bernstein
+    polynomials of degree p, p - 1 and p - 2 in t (The NURBS Book, A5.6,
+    decomposes a curve the same way). Returns the piece edges and a
+    (K, L, n) map from homogeneous control points to their coefficients,
+    stacked along L in the order of `_bernstein_layout`.
+
+    Each coefficient comes from the Taylor expansion at the nearer piece
+    end: the first half from Cox-de Boor derivatives at a, the second
+    half from those at b, taken on the piece's own knot span (left
+    limits). The end coefficients are thus the Cox-de Boor values there,
+    a short piece with steep derivatives loses nothing to cancellation,
+    and at the domain ends the curve's coefficients are exactly the first
+    and last control point, so a clamped curve interpolates them exactly.
+    """
+    knots = np.frombuffer(knots_bytes, dtype=float)
+    edges = arclen_cells(knots)[0]
+    a, b = edges[:-1], edges[1:]
+    h = (b - a)[:, None]
+    p = degree
+    span = np.searchsorted(knots, a, side="right") - 1
+    # Taylor terms used: up to order k + (p - k) // 2 for the k-th derivative.
+    order = max(k + (p - k) // 2 for k in range(min(p, 2) + 1))
+    both = basis_matrices(knots, p, np.concatenate([a, b]), order,
+                          np.concatenate([span, span]))
+    ends = (([d[: a.size] for d in both], h), ([d[a.size:] for d in both], -h))
+    blocks = []
+    for k in range(min(p, 2) + 1):
+        q = p - k
+        for i in range(q + 1):
+            # Bernstein coefficient i of degree q from the Taylor terms
+            # B^(k+j) step^j / j!, j <= r, at the nearer piece end.
+            (derivs, step), r = (ends[0], i) if 2 * i <= q else (ends[1], q - i)
+            blocks.append(sum(math.comb(r, j) / math.comb(q, j)
+                              * (step ** j / math.factorial(j)) * derivs[k + j]
+                              for j in range(r + 1)))
+    n = knots.size - p - 1
+    blocks[0][0] = np.eye(n)[0]
+    blocks[p][-1] = np.eye(n)[-1]
+    table = np.stack(blocks, axis=1)
+    table.setflags(write=False)
+    return edges, table
+
+
+def piece_map(knots: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (K + 1,) of the curve pieces and the (K, L, n) map from
+    homogeneous control points to their Bernstein coefficients; see
+    `_piece_map`. Cached per knot vector."""
+    return _piece_map(knots.tobytes(), degree)
+
+
+@lru_cache(maxsize=8)
+def _bernstein_layout(degree: int):
+    """Stacked coefficient layout of `_piece_map`: for k = 0 .. min(p, 2),
+    the p - k + 1 Bernstein terms of the k-th derivative, one block after
+    the other (L terms in all).
+
+    Returns the exponents 0..p, the (p + 1, L) matrix taking the powers of
+    t to the Bernstein polynomials C(q, i) t^i (1 - t)^(q - i) of the
+    layout, the (L, blocks) 0/1 matrix summing each block, and the end
+    of each block. The matrix entries are small integers, so at t = 0 and
+    t = 1 the polynomials come out exactly 0 or 1.
+    """
+    cols, blocks = [], []
+    for k in range(min(degree, 2) + 1):
+        q = degree - k
+        for i in range(q + 1):
+            col = np.zeros(degree + 1)
+            for e in range(i, q + 1):
+                col[e] = math.comb(q, i) * math.comb(q - i, e - i) * (-1) ** (e - i)
+            cols.append(col)
+            blocks.append(k)
+    blocks = np.array(blocks)
+    block_sum = (blocks[:, None] == np.arange(blocks[-1] + 1)).astype(float)
+    return (np.arange(degree + 1.0), np.column_stack(cols), block_sum,
+            np.cumsum(block_sum.sum(axis=0)).astype(int))
+
+
+def piece_derivatives(coef: np.ndarray, t: np.ndarray, degree: int,
+                      order: int) -> list:
+    """Homogeneous derivatives [H, H', H''][: order + 1] from Bernstein
+    coefficients.
+
+    `coef` (..., L) holds the coefficients of each query's piece in the
+    `_piece_map` layout, with any leading axes (components first, say);
+    `t` holds the local parameters and broadcasts against coef[..., 0].
+    Each derivative keeps the leading shape; orders above min(degree, 2)
+    are None. At t = 0 and t = 1 every Bernstein weight but one is exactly
+    zero, so piece ends evaluate to their end coefficients exactly.
+    """
+    exps, to_bernstein, block_sum, block_ends = _bernstein_layout(degree)
+    n_ord = min(order, block_ends.size - 1) + 1
+    width = block_ends[n_ord - 1]
+    w = (t[..., None] ** exps) @ to_bernstein[:, :width]
+    sums = (coef[..., :width] * w) @ block_sum[:width, :n_ord]
+    return [sums[..., k] for k in range(n_ord)] + [None] * (order + 1 - n_ord)
 
 
 @dataclass(frozen=True)
@@ -268,14 +390,25 @@ class NurbsCurve:
 
     def _derivs(self, s_arr: np.ndarray, order: int) -> list:
         """Rational derivatives [C, C', C''][: order + 1] at checked
-        parameters, components first (shape (2, m)). They are transposed
-        views, so `derivatives` hands out C-ordered (m, 2) arrays: layout-
-        dependent reductions on them, such as the einsum in `_speed`, round
-        differently on other layouts."""
-        hom = self.homogeneous
+        parameters, components first (shape (2, m)): a piece lookup by
+        binary search, then one Bernstein evaluation on the cached
+        coefficients of that piece."""
+        edges, coef = self._pieces
+        idx = np.minimum(np.searchsorted(edges, s_arr, side="right") - 1,
+                         edges.size - 2)
+        a = edges[idx]
+        t = (s_arr - a) / (edges[idx + 1] - a)
         return rational_derivatives(
-            [None if b is None else (b @ hom).T
-             for b in basis_matrices(self.knots, self.degree, s_arr, order)])
+            piece_derivatives(coef[:, idx], t, self.degree, order))
+
+    @cached_property
+    def _pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Piece edges and the Bernstein coefficients of the homogeneous
+        curve and its first two derivatives on every piece, components
+        first: shape (3, K, L) (see `_piece_map`)."""
+        edges, table = piece_map(self.knots, self.degree)
+        coef = np.moveaxis(table @ self.homogeneous, -1, 0)
+        return edges, np.ascontiguousarray(coef)
 
     def derivatives(self, s, order: int = 2):
         """Return (C, C', C'') arrays at the given parameter(s).
@@ -387,8 +520,8 @@ class NurbsCurve:
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         self._check_params(s_arr)
         edges, cum = self._arclen_grid
-        idx = np.clip(np.searchsorted(edges, s_arr, side="right") - 1,
-                      0, len(edges) - 2)
+        idx = np.minimum(np.searchsorted(edges, s_arr, side="right") - 1,
+                         len(edges) - 2)
         nodes, wts = _leggauss(5)
         a = edges[idx]
         half = 0.5 * (s_arr - a)
@@ -414,7 +547,8 @@ class NurbsCurve:
         tgt = np.atleast_1d(np.asarray(target, dtype=float))
         edges, cum = self._arclen_grid
         tgt = np.clip(tgt, 0.0, cum[-1])
-        s = invert_length(edges, cum, tgt)
+        idx, frac = locate_length(cum, tgt)
+        s = edges[idx] + frac * (edges[idx + 1] - edges[idx])
         if polish:
             for _ in range(3):
                 resid = np.atleast_1d(self.length_from_start(s)) - tgt
@@ -509,7 +643,8 @@ class NurbsCurve:
 
     # -- curvature peak ---------------------------------------------------
 
-    def max_curvature(self, n_samples: int = 200) -> tuple[float, float]:
+    def max_curvature(self, n_samples: int = 200,
+                      kappa: np.ndarray | None = None) -> tuple[float, float]:
         """Peak curvature and its parameter.
 
         Uniform grid scan, then a zoom on the bracket around the grid
@@ -518,12 +653,15 @@ class NurbsCurve:
         and narrows the bracket to the neighbours of their argmax, until it
         is narrower than 1e-12 (about ten curve evaluations in all). The
         largest curvature sampled is returned, so the result is never below
-        the grid maximum.
+        the grid maximum. A caller that already has the curvatures on the
+        grid, linspace(0, 1, n_samples), passes them as `kappa` and the
+        scan is skipped.
         """
         if n_samples < 2:
             raise ValueError("need at least two curvature samples")
         grid = np.linspace(0.0, 1.0, n_samples)
-        kappa = self._curvature_values(grid)
+        if kappa is None:
+            kappa = self._curvature_values(grid)
         i = int(np.argmax(kappa))
         k_best, s_best = kappa[i], grid[i]
         a = grid[max(i - 1, 0)]

@@ -131,6 +131,11 @@ class OptimizerStats:
     evaluations: int = 0
     generations: int = 0
     wall_time: float = 0.0
+    # Objective and total violation of row 0 of the initial population,
+    # the first warm start when one is given; the probe chunk always
+    # evaluates it.
+    first_f: float = None
+    first_violation: float = None
 
 
 def feasibility_key(f: np.ndarray,
@@ -320,6 +325,7 @@ def optimize(problem: ProblemDef, config: OptimizerConfig,
     n_first = min(n_init, config.budget)
     pop_f, pop_v = evaluate(pop_x[:n_first])
     timed_out = pop_f.size < n_first
+    stats.first_f, stats.first_violation = float(pop_f[0]), float(pop_v[0])
     pop_x = pop_x[:pop_f.size]
     i = rank(pop_f, pop_v)[0]
     best = Individual(x=pop_x[i].copy(), f=float(pop_f[i]),

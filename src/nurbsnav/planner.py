@@ -168,7 +168,16 @@ def constraint_violations(candidate: NurbsCurve, statics, dynamics,
     """
     curv_grid = np.linspace(0.0, 1.0, config.n_curv_samples * scale)
     c0, kappa = candidate.positions_and_curvatures(curv_grid)
+    return _sampled_violations(candidate, c0, kappa, statics, dynamics,
+                               config, speed, scale)
 
+
+def _sampled_violations(candidate: NurbsCurve, c0: np.ndarray,
+                        kappa: np.ndarray, statics, dynamics,
+                        config: PlannerConfig, speed: float,
+                        scale: int) -> np.ndarray:
+    """constraint_violations from the positions and curvatures on its
+    curvature grid."""
     v_obs = 0.0
     for s in statics:
         d = np.linalg.norm(c0 - s.center, axis=1)
@@ -181,7 +190,7 @@ def constraint_violations(candidate: NurbsCurve, statics, dynamics,
         # flipping infeasible when it is re-sampled on the next cycle.
         v_curv = float(np.sum(np.maximum(0.0,
                                          kappa - config.kappa_max - 1e-9))
-                       / (curv_grid.size - 1))
+                       / (kappa.size - 1))
 
     v_vo = 0.0
     if not config.disable_vo and dynamics:
@@ -194,11 +203,14 @@ def constraint_violations(candidate: NurbsCurve, statics, dynamics,
 
 def _verify(candidate: NurbsCurve, statics, dynamics, config: PlannerConfig,
             speed: float) -> tuple[bool, dict]:
-    """Re-check all constraint families at 4x sampling density."""
-    v = constraint_violations(candidate, statics, dynamics, config, speed,
-                              scale=4)
+    """Re-check all constraint families at 4x sampling density; the
+    curvature peak search starts from the same grid's curvatures."""
+    grid = np.linspace(0.0, 1.0, 4 * config.n_curv_samples)
+    c0, kappa = candidate.positions_and_curvatures(grid)
+    v = _sampled_violations(candidate, c0, kappa, statics, dynamics, config,
+                            speed, scale=4)
     if not config.disable_curvature:
-        k_peak, _ = candidate.max_curvature(4 * config.n_curv_samples)
+        k_peak, _ = candidate.max_curvature(grid.size, kappa=kappa)
         v[1] = max(v[1], max(0.0, k_peak - config.kappa_max - 1e-9))
     violations = {"obstacle": float(v[0]), "curvature": float(v[1]),
                   "vo": float(v[2])}
@@ -213,7 +225,9 @@ class _CycleKernel:
     values and derivatives are tabulated here at the arc-length Gauss nodes
     and on the curvature grid, which static clearance shares, and a chunk
     of P candidates then costs a few B @ H products on the (P, n, 3)
-    homogeneous control points. Agrees with apply_delta + total_length +
+    homogeneous control points. The VO samples, at each candidate's own
+    parameters, are evaluated in piecewise Bezier form on the same knot
+    vector. Agrees with apply_delta + total_length +
     constraint_violations to rounding.
     """
 
@@ -225,7 +239,7 @@ class _CycleKernel:
         self.config = config
         self.speed = speed
         knots, degree = base.knots, base.degree
-        self.edges, self.half, gl_nodes = geometry.arclen_cells(knots)
+        _, self.half, gl_nodes = geometry.arclen_cells(knots)
         self.gl_basis = geometry.basis_matrices(knots, degree, gl_nodes, 1)
         self.curv_grid = np.linspace(0.0, 1.0, config.n_curv_samples)
         self.curv_basis = geometry.basis_matrices(knots, degree,
@@ -238,6 +252,12 @@ class _CycleKernel:
         if not config.disable_vo and dynamics:
             self.movers = velocity_obstacle.obstacle_arrays(
                 dynamics, config.r_u + config.r_safe)
+            # The curve and first-derivative blocks of the piecewise
+            # Bezier form; its pieces are the arc-length cells, whose index
+            # and fraction the length inversion yields.
+            _, table = geometry.piece_map(knots, degree)
+            self.vo_map = table[:, : 2 * degree + 1].reshape(-1, table.shape[-1]).T
+            self.vo_frac = np.linspace(0.0, 1.0, config.n_vo_samples)
 
     @staticmethod
     def _derivs(mats, hom_rows):
@@ -276,13 +296,13 @@ class _CycleKernel:
                 / (self.curv_grid.size - 1)
         if self.movers is not None:
             arc_end = np.minimum(self.speed * config.tau, lengths)
-            arcs = np.linspace(0.0, arc_end, config.n_vo_samples, axis=-1)
-            s_vals = geometry.invert_length(self.edges, cum, arcs)
-            mats = geometry.basis_matrices(self.base.knots, self.base.degree,
-                                           s_vals.ravel(), 1)
-            shape = s_vals.shape + (-1,)
-            pos, tan = geometry.rational_derivatives(
-                [np.moveaxis(b.reshape(shape) @ hom, -1, 0) for b in mats])
+            arcs = arc_end[:, None] * self.vo_frac
+            idx, frac = geometry.locate_length(cum, arcs)
+            n_var = xs.shape[0]
+            coef = (hom_rows @ self.vo_map).reshape(3, n_var, self.half.size, -1)
+            pos, tan = geometry.rational_derivatives(geometry.piece_derivatives(
+                coef[:, np.arange(n_var)[:, None], idx], frac,
+                self.base.degree, 1))
             v[:, 2] = velocity_obstacle.vo_depth(pos, tan, arcs / self.speed,
                                                  self.speed, self.movers,
                                                  config.tau)
@@ -356,9 +376,8 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
                                      lower.size))
         best, stats = optimize(problem, opt_cfg, warm_start=warm)
         evals = stats.evaluations
-        f0, v0 = problem.evaluate_batch(warm[0][None])
-        f, delta = float(f0[0]), warm[0]
-        if _real_gain(best, f0[0], v0[0]):
+        f, delta = stats.first_f, warm[0]
+        if _real_gain(best, stats.first_f, stats.first_violation):
             plan = geometry.apply_delta(cut, best.x, lower, upper)
             f, delta = best.f, np.array(best.x)
 

@@ -9,7 +9,8 @@ import pytest
 from nurbsnav.geometry import (HeadingSpec, NurbsCurve, W_MIN, apply_delta,
                                basis_matrices, build_path_with_headings,
                                clamped_uniform_knots, delta_dimension,
-                               movable_count, neutral_delta, validate_knots)
+                               movable_count, neutral_delta,
+                               rational_derivatives, validate_knots)
 
 
 def segment(p0=(0.0, 0.0), p1=(10.0, 0.0)) -> NurbsCurve:
@@ -82,6 +83,52 @@ def test_basis_span_rules():
     assert np.array_equal(b[0], np.eye(7)[0])
     assert np.array_equal(b[6], np.eye(7)[6])  # s = 1 takes the last span
     assert not b[-1].any()  # below the domain: no span
+
+
+def piecewise_cases() -> list:
+    """Curves of degree 1-3 with random weights, one on the double-knot
+    vector of test_basis_span_rules, and halves produced by split."""
+    rng = np.random.default_rng(21)
+    curves = [NurbsCurve(degree=p, control_points=rng.uniform(-50.0, 50.0, (n, 2)),
+                         weights=rng.uniform(0.2, 3.0, n),
+                         knots=clamped_uniform_knots(n, p))
+              for p, n in ((1, 6), (2, 7), (3, 9))]
+    double = np.array([0.0, 0.0, 0.0, 0.0, 0.4, 0.4, 0.7, 1.0, 1.0, 1.0, 1.0])
+    curves.append(NurbsCurve(degree=3,
+                             control_points=rng.uniform(-50.0, 50.0, (7, 2)),
+                             weights=rng.uniform(0.2, 3.0, 7), knots=double))
+    for c, s_cut in ((curves[1], 0.58), (curves[2], 0.37), (curves[3], 0.55),
+                     (wiggly(), 0.62)):
+        curves.extend(c.split(s_cut))
+    return curves
+
+
+def test_piecewise_form_matches_cox_de_boor():
+    # Positions and first and second derivatives from the per-piece
+    # Bernstein form agree with the dense Cox-de Boor tables at both ends,
+    # at every distinct knot and one ulp either side of it.
+    for c in piecewise_cases():
+        knots = np.unique(c.knots)
+        s = np.unique(np.concatenate([knots, np.nextafter(knots, 2.0),
+                                      np.nextafter(knots, -1.0)]))
+        s = s[(s >= 0.0) & (s <= 1.0)]
+        got = c.derivatives(s, order=2)
+        hom = c.homogeneous
+        ref = rational_derivatives(
+            [None if b is None else (b @ hom).T
+             for b in basis_matrices(c.knots, c.degree, s, order=2)])
+        for g, r in zip(got, ref):
+            scale = np.max(np.linalg.norm(r, axis=0))
+            assert np.max(np.linalg.norm(g - r.T, axis=1)) <= 1e-12 * scale
+
+
+def test_piecewise_form_interpolates_ends_exactly():
+    for c in piecewise_cases():
+        hom = c.homogeneous[[0, -1]]
+        assert np.array_equal(c.point(np.array([0.0, 1.0])), hom[:, :2] / hom[:, 2:])
+    c = wiggly()
+    assert np.array_equal(c.point(0.0), c.control_points[0])
+    assert np.array_equal(c.point(1.0), c.control_points[-1])
 
 
 # -- curvature ------------------------------------------------------------
@@ -210,6 +257,28 @@ def test_max_curvature_evaluation_count(monkeypatch):
             calls.clear()
             c.max_curvature(n)
             assert len(calls) <= 12
+
+
+def test_max_curvature_from_sampled_grid(monkeypatch):
+    # Curvatures the caller already has on the grid replace the scan and
+    # give the same peak.
+    rng = np.random.default_rng(13)
+    curves = [random_heading_path(rng) for _ in range(5)]
+    expected = [c.max_curvature(256) for c in curves]
+    grid = np.linspace(0.0, 1.0, 256)
+    sampled = [c.curvatures(grid) for c in curves]
+    calls = []
+    original = NurbsCurve._curvature_values
+
+    def counting(self, s_arr, derivs=None):
+        calls.append(s_arr.size)
+        return original(self, s_arr, derivs)
+
+    monkeypatch.setattr(NurbsCurve, "_curvature_values", counting)
+    for c, kappa, ref in zip(curves, sampled, expected):
+        calls.clear()
+        assert c.max_curvature(256, kappa=kappa) == ref
+        assert 256 not in calls
 
 
 # -- arc length -----------------------------------------------------------

@@ -297,6 +297,21 @@ def test_best_is_first_found_among_ties():
         assert np.array_equal(best.x, warm[1])
 
 
+def test_stats_report_the_first_row():
+    # Row 0 of the initial population is the first warm start, clipped to
+    # the box; its objective and violation come back on the stats, with
+    # and without a deadline.
+    problem = ProblemDef(dimension=2, lower=np.full(2, -1.0),
+                         upper=np.full(2, 1.0), objective=lambda x: x @ x,
+                         constraints=lambda x: [max(0.0, x[0] - 0.5)])
+    warm = [np.array([3.0, 0.5]), np.zeros(2)]
+    for deadline in (None, 1e-12):
+        best, stats = optimize(problem, OptimizerConfig(
+            budget=50, n_init=8, deadline=deadline, seed=1), warm_start=warm)
+        assert (stats.first_f, stats.first_violation) == (1.25, 0.5)
+        assert best.f == 0.0 and best.violation == 0.0
+
+
 def test_tiny_deadline_evaluates_the_probe_chunk():
     # The deadline is first checked after the probe chunk, the leading
     # min(n_init, n_min, budget) rows, so a run always returns a best: here

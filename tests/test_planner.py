@@ -205,6 +205,42 @@ def test_batch_kernel_matches_scalar_path():
                                                           1e-12)), (got, ref)
 
 
+def test_batch_kernel_matches_scalar_path_on_short_cut():
+    # The cut is shorter than speed * tau, so every candidate's VO samples
+    # are spread over its own length, not over speed * tau.
+    config = fast_config(r_safe=5.0)
+    w0 = Waypoint(position=np.array([0.0, 0.0]), heading=0.3)
+    w1 = Waypoint(position=np.array([70.0, 6.0]), heading=-0.2)
+    path = initial_path(w0, w1, config)
+    c0, c1 = path.derivatives(path.param_at_length(30.0), order=1)
+    state = UavState(position=c0[0], heading=math.atan2(c1[0, 1], c1[0, 0]),
+                     speed=15.0)
+    base, _ = cut_path_at_projection(path, state, config.t_replan)
+    movers = []
+    for arc, t_cross, vel in ((12.0, 1.2, [1.0, 6.0]), (28.0, 2.1, [-4.0, -5.0])):
+        cross = base.point(base.param_at_length(arc))
+        movers.append(ObstacleState(position=cross - t_cross * np.array(vel),
+                                    velocity=np.array(vel), radius=2.0))
+    beside = base.point(base.param_at_length(20.0)) + [0.0, 6.0]
+    statics = [StaticObstacle(center=beside, radius=2.0)]
+    lower, upper = delta_bounds(base, config)
+    rng = np.random.default_rng(6)
+    xs = geometry.neutral_delta(base) \
+        + 0.1 * (rng.random((24, lower.size)) - 0.5) * (upper - lower)
+    kernel = _CycleKernel(base, lower, upper, statics, movers, config, 15.0)
+    lengths, violations = kernel.evaluate(xs)
+    assert np.all(lengths < 15.0 * config.tau)
+    assert np.all(np.any(violations > 0.0, axis=0))
+    for x, f, v in zip(xs, lengths, violations):
+        curve = geometry.apply_delta(base, x, lower, upper)
+        ref = np.concatenate([[curve.total_length()],
+                              constraint_violations(curve, statics, movers,
+                                                    config, 15.0)])
+        got = np.concatenate([[f], v])
+        assert np.all(np.abs(got - ref) <= np.maximum(1e-9 * np.abs(ref),
+                                                      1e-12)), (got, ref)
+
+
 # -- single replan cycles --------------------------------------------------
 
 def test_replan_clear_world_keeps_near_straight_path():
