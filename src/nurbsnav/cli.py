@@ -91,8 +91,27 @@ def _bench_replan(scenario, seed: int, n_replans: int,
     }
 
 
+class _UsageError(Exception):
+    """Malformed command-line arguments."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would exit 2, the mission-failure code.
+        raise _UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nurbsnav",
         description="Online NURBS replanning missions for Dubins vehicles")
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
@@ -107,13 +126,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="drop the curvature constraint")
     parser.add_argument("--plot", action="store_true",
                         help="also write plot.svg")
-    parser.add_argument("--replans", type=int, default=50,
+    parser.add_argument("--replans", type=_positive_int, default=50,
                         help="replan cycles in bench-replan mode")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         scenario = load_scenario(args.scenario)
     except ScenarioError as exc:

@@ -225,12 +225,17 @@ def locate_length(cum: np.ndarray,
     cells, which are also the pieces of `_piece_map`, so the fraction is
     the local parameter on piece `idx`.
     """
-    # Count of grid lengths <= target, i.e. searchsorted(side="right").
-    idx = np.minimum(np.count_nonzero(cum[..., None, :] <= target[..., :, None],
-                                      axis=-1) - 1, cum.shape[-1] - 2)
-    lo = np.take_along_axis(cum, idx, axis=-1)
-    step = np.take_along_axis(cum, idx + 1, axis=-1) - lo
-    frac = np.where(step > 0.0, (target - lo) / np.where(step > 0.0, step, 1.0), 0.0)
+    # Count of interior grid lengths <= target: searchsorted(side="right")
+    # - 1 on the whole grid (cum[..., 0] = 0 <= target), clamped to the
+    # last cell.
+    idx = (cum[..., None, 1:-1] <= target[..., :, None]).sum(axis=-1)
+    # One gather from the flattened grid, each row offset by its start.
+    flat = cum.ravel()
+    at = idx + np.arange(0, flat.size, cum.shape[-1]).reshape(cum.shape[:-1] + (1,))
+    lo = flat[at]
+    step = flat[at + 1] - lo
+    # A zero-width cell is reached only as the last cell, with target = lo.
+    frac = (target - lo) / np.where(step > 0.0, step, np.inf)
     return idx, frac
 
 

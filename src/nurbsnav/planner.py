@@ -256,7 +256,8 @@ class _CycleKernel:
             # Bezier form; its pieces are the arc-length cells, whose index
             # and fraction the length inversion yields.
             _, table = geometry.piece_map(knots, degree)
-            self.vo_map = table[:, : 2 * degree + 1].reshape(-1, table.shape[-1]).T
+            self.vo_width = 2 * degree + 1
+            self.vo_map = table[:, : self.vo_width].reshape(-1, table.shape[-1]).T
             self.vo_frac = np.linspace(0.0, 1.0, config.n_vo_samples)
 
     @staticmethod
@@ -297,12 +298,20 @@ class _CycleKernel:
         if self.movers is not None:
             arc_end = np.minimum(self.speed * config.tau, lengths)
             arcs = arc_end[:, None] * self.vo_frac
-            idx, frac = geometry.locate_length(cum, arcs)
-            n_var = xs.shape[0]
-            coef = (hom_rows @ self.vo_map).reshape(3, n_var, self.half.size, -1)
+            # The samples stop at arc_end, so only the pieces up to the one
+            # holding the farthest arc_end are reached: a prefix of the
+            # length grid and of vo_map's piece-major columns. Each row
+            # reaches a prefix of the interior edges, so their union
+            # counts the pieces past the first.
+            n_var, width = xs.shape[0], self.vo_width
+            n_piece = 1 + int(np.count_nonzero(
+                (cum[:, 1:-1] <= arc_end[:, None]).any(axis=0)))
+            idx, frac = geometry.locate_length(cum[:, : n_piece + 1], arcs)
+            coef = (hom_rows @ self.vo_map[:, : n_piece * width]).reshape(
+                3, n_var * n_piece, width)
+            coef = np.take(coef, idx + n_piece * np.arange(n_var)[:, None], axis=1)
             pos, tan = geometry.rational_derivatives(geometry.piece_derivatives(
-                coef[:, np.arange(n_var)[:, None], idx], frac,
-                self.base.degree, 1))
+                coef, frac, self.base.degree, 1))
             v[:, 2] = velocity_obstacle.vo_depth(pos, tan, arcs / self.speed,
                                                  self.speed, self.movers,
                                                  config.tau)

@@ -5,6 +5,12 @@ velocities, the combined-radius discs overlap within the horizon. The
 constraint helper walks a candidate path at constant speed, propagates the
 obstacles on the same clock, and accumulates violation depths so the
 optimizer can rank infeasible candidates.
+
+One time-to-collision kernel serves every caller: `_ttc_array` solves the
+closing quadratic on whole arrays, +inf where no collision lies ahead, and
+`time_to_collision` is its one-pair form. `vo_depth` scores P candidates'
+J samples against K movers, held per replan cycle by `obstacle_arrays`, in
+a fixed number of array operations on (K, P, J) arrays.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import NurbsCurve
+
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -44,63 +52,77 @@ class VOCheck:
 def time_to_collision(rel_pos, rel_vel, radius: float) -> float | None:
     """Smallest t >= 0 with ||rel_pos - rel_vel * t|| = radius, else None.
 
-    Returns 0 when the discs already overlap. rel_pos is obstacle minus
-    agent, rel_vel is agent minus obstacle, so closure shrinks the gap.
-    The one-pair form of _ttc_array, the kernel the search uses.
+    Returns 0 when the discs already touch or overlap. rel_pos is obstacle
+    minus agent, rel_vel is agent minus obstacle, so closure shrinks the
+    gap. The one-pair form of _ttc_array, the kernel the search uses.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     t = float(_ttc_array(np.asarray(rel_pos, dtype=float),
-                         np.asarray(rel_vel, dtype=float), radius))
-    return None if math.isnan(t) else t
+                         np.asarray(rel_vel, dtype=float), radius * radius))
+    return None if math.isinf(t) else t
 
 
 def _ttc_array(rel_pos: np.ndarray, rel_vel: np.ndarray,
-               radius) -> np.ndarray:
+               rr) -> np.ndarray:
     """Vectorized time_to_collision with x, y on the first axis of rel_pos
-    and rel_vel (shape (2, ...)); NaN where no collision occurs. `radius`
-    broadcasts against the remaining axes."""
-    c = rel_pos[0] * rel_pos[0] + rel_pos[1] * rel_pos[1] - radius * radius
-    a = rel_vel[0] * rel_vel[0] + rel_vel[1] * rel_vel[1]
-    b = rel_pos[0] * rel_vel[0] + rel_pos[1] * rel_vel[1]
+    and rel_vel (shape (2, ...)) and the squared combined radius `rr`,
+    which broadcasts against the remaining axes; +inf where no collision
+    occurs.
+
+    The first root of |p - v t|^2 = rr is (b - sqrt(disc)) / a with
+    a = |v|^2, b = p.v, c = |p|^2 - rr and disc = b^2 - a c. Touching or
+    overlapping discs (c <= 0) have a root at or before 0, clamped to 0.
+    Apart (c > 0), a root exists ahead iff b > 0 and disc >= 0; no root
+    (disc < 0), roots behind (b <= 0) and no relative motion (a = 0, so
+    b = 0) all give +inf. The floor on a only keeps a = 0 from dividing
+    by zero: then b = disc = 0 and the root is 0.
+    """
+    sq = rel_pos * rel_pos
+    c = sq[0] + sq[1] - rr
+    sq = rel_vel * rel_vel
+    a = sq[0] + sq[1]
+    sq = rel_pos * rel_vel
+    b = sq[0] + sq[1]
     disc = b * b - a * c
-    ok = (disc >= 0.0) & (a > 0.0)
-    t = np.where(ok, (b - np.sqrt(np.where(ok, disc, 0.0))) / np.where(a > 0.0, a, 1.0), np.nan)
-    t = np.where(ok & (t >= 0.0), t, np.nan)
-    return np.where(c < 0.0, 0.0, t)
+    t = np.maximum((b - np.sqrt(np.maximum(disc, 0.0))) / np.maximum(a, _TINY),
+                   0.0)
+    return np.where((c <= 0.0) | (b > 0.0) & (disc >= 0.0), t, np.inf)
 
 
 def obstacle_arrays(obstacles, r_u: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions (2, K), velocities (2, K) and combined radii (K,)."""
+    """Positions and velocities (2, K, 1, 1) and squared combined radii
+    (K, 1, 1), obstacles on the leading axis so that they broadcast
+    against samples (2, 1, P, J)."""
     obstacles = list(obstacles)
-    return (np.array([o.position for o in obstacles], dtype=float).reshape(-1, 2).T,
-            np.array([o.velocity for o in obstacles], dtype=float).reshape(-1, 2).T,
-            np.array([o.radius + r_u for o in obstacles], dtype=float))
+    pos = np.array([o.position for o in obstacles], dtype=float).reshape(-1, 2)
+    vel = np.array([o.velocity for o in obstacles], dtype=float).reshape(-1, 2)
+    radii = np.array([o.radius + r_u for o in obstacles], dtype=float)
+    return (pos.T[:, :, None, None], vel.T[:, :, None, None],
+            (radii * radii)[:, None, None])
 
 
 def vo_depth(points: np.ndarray, tangents: np.ndarray, times: np.ndarray,
              speed: float, obstacles: tuple, tau: float) -> np.ndarray:
     """Summed truncated-VO violation depth of sampled agent states.
 
-    points and tangents (2, ..., J), components first, are the path
-    samples reached at `times` (..., J) flying at `speed`; `obstacles`
+    points and tangents (2, P, J), components first, are the path
+    samples reached at `times` (P, J) flying at `speed`; `obstacles`
     comes from obstacle_arrays. Each sample is checked against every
-    obstacle propagated to its time, with the horizon shrunk to tau - t.
-    Returns the sum over samples and obstacles, shape (...).
+    obstacle propagated to its time, with the horizon shrunk to
+    h = tau - t: a time to collision t* adds (h - min(t*, h)) / h, which
+    is 0 for t* = +inf and for h <= 0. Returns the sum over samples and
+    obstacles, shape (P,).
     """
-    positions, velocities, radii = obstacles
-    norms = np.maximum(np.sqrt(tangents[0] * tangents[0]
-                               + tangents[1] * tangents[1]), 1e-12)
-    t = times[..., None]
-    rel_pos = [positions[k] + t * velocities[k] - points[k][..., None]
-               for k in range(2)]
-    rel_vel = [(speed * tangents[k] / norms)[..., None] - velocities[k]
-               for k in range(2)]
-    t_star = _ttc_array(rel_pos, rel_vel, radii)
-    horizons = tau - t
-    hit = (horizons > 0.0) & (t_star <= horizons)
-    depth = np.where(hit, horizons - t_star, 0.0) / np.where(hit, horizons, 1.0)
-    return depth.sum(axis=(-2, -1))
+    positions, velocities, rr = obstacles
+    v_u = tangents * (speed / np.maximum(np.hypot(tangents[0], tangents[1]),
+                                         1e-12))
+    # (2, K, P, J): movers lead, so the sum over them runs over whole planes.
+    rel_pos = positions + times * velocities - points[:, None]
+    t_star = _ttc_array(rel_pos, v_u[:, None] - velocities, rr)
+    h = tau - times
+    inv_h = 1.0 / np.where(h > 0.0, h, np.inf)
+    return np.einsum("kpj,pj->p", h - np.minimum(t_star, h), inv_h)
 
 
 def in_truncated_vo(v_u, p_u, obs: ObstacleState, r_u: float,
@@ -150,5 +172,5 @@ def path_vo_violation(curve: NurbsCurve, speed: float, obstacles,
     # precision than the obstacle radii they are compared against.
     s_vals = np.atleast_1d(curve.param_at_length(arcs, polish=False))
     c0, c1 = curve.derivatives(s_vals, order=1)
-    return float(vo_depth(c0.T, c1.T, arcs / speed, speed,
-                          obstacle_arrays(obstacles, r_u), tau))
+    return float(vo_depth(c0.T[:, None], c1.T[:, None], (arcs / speed)[None],
+                          speed, obstacle_arrays(obstacles, r_u), tau)[0])

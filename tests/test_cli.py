@@ -49,6 +49,30 @@ def test_bad_input_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--replans", "x"],
+    ["--mode", "nope"],
+    ["--seed", "1.5"],
+    ["--mode", "bench-replan", "--replans", "0"],
+    ["--mode", "bench-replan", "--replans", "-3"],
+])
+def test_malformed_arguments_exit_bad_input(tmp_path, capsys, args):
+    path = write_scenario(tmp_path, tiny_scenario())
+    out = tmp_path / "out"
+    code = main(["--scenario", str(path), "--out", str(out)] + args)
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--replans" in capsys.readouterr().out
+
+
 def _patched(section: str, key: str, value, index: int | None = None) -> dict:
     data = tiny_scenario()
     if index is None:

@@ -9,7 +9,7 @@ import pytest
 from nurbsnav.geometry import (HeadingSpec, NurbsCurve, W_MIN, apply_delta,
                                basis_matrices, build_path_with_headings,
                                clamped_uniform_knots, delta_dimension,
-                               movable_count, neutral_delta,
+                               locate_length, movable_count, neutral_delta,
                                rational_derivatives, validate_knots)
 
 
@@ -305,6 +305,41 @@ def test_param_at_length_round_trip():
     s = c.param_at_length(targets)
     back = c.length_from_start(s)
     assert np.max(np.abs(back - targets)) <= 1e-8 * max(total, 1.0)
+
+
+def _locate_reference(cum_row, targets):
+    """locate_length for one row through np.searchsorted(side="right")."""
+    idx = np.minimum(np.searchsorted(cum_row, targets, side="right") - 1,
+                     cum_row.size - 2)
+    frac = np.zeros(targets.size)
+    for m, (i, t) in enumerate(zip(idx, targets)):
+        step = cum_row[i + 1] - cum_row[i]
+        if step > 0.0:
+            frac[m] = (t - cum_row[i]) / step
+    return idx, frac
+
+
+def test_locate_length_matches_searchsorted():
+    rng = np.random.default_rng(3)
+    cum = np.concatenate([np.zeros((4, 1)),
+                          np.cumsum(rng.uniform(0.1, 2.0, (4, 9)), axis=1)],
+                         axis=1)
+    cum[1, 4] = cum[1, 3]  # a zero-width cell inside the row
+    cum[2, 1] = 0.0  # one at the start
+    cum[3, -1] = cum[3, -2]  # and one at the end
+    targets = rng.uniform(0.0, 1.0, (4, 12)) * cum[:, -1:]
+    targets[:, 0] = 0.0
+    targets[:, 1] = cum[:, -1]
+    targets[:, 2:5] = cum[:, 2:5]  # exactly on cell edges
+    targets[1, 5] = cum[1, 4]
+    idx, frac = locate_length(cum, targets)
+    for row in range(cum.shape[0]):
+        ref_idx, ref_frac = _locate_reference(cum[row], targets[row])
+        assert np.array_equal(idx[row], ref_idx)
+        assert np.array_equal(frac[row], ref_frac)
+        one_idx, one_frac = locate_length(cum[row], targets[row])
+        assert np.array_equal(one_idx, ref_idx)
+        assert np.array_equal(one_frac, ref_frac)
 
 
 def test_length_from_start_monotone():

@@ -142,7 +142,10 @@ def test_violations_flag_excess_curvature():
 def _kernel_cases():
     """A start-of-leg path with interior weights near both ends of the
     weight box, and a part-way cut of it, each with static discs and
-    movers crossing the path ahead."""
+    movers crossing the path ahead; then the start-of-leg path against a
+    mover that overlaps its start at t = 0 and one that flies along with
+    the vehicle, the time-to-collision kernel's zero and near-zero
+    relative velocity branches."""
     config = fast_config(r_safe=5.0)
     w0 = Waypoint(position=np.array([0.0, 0.0]), heading=0.3)
     w1 = Waypoint(position=np.array([200.0, 20.0]), heading=-0.2)
@@ -165,6 +168,13 @@ def _kernel_cases():
             movers.append(ObstacleState(position=cross - t_cross * np.array(vel),
                                         velocity=np.array(vel), radius=2.5))
         cases.append((base, statics, movers, config))
+    c0, c1 = start.derivatives(np.array([0.0]), order=1)
+    heading = c1[0] / np.linalg.norm(c1[0])
+    movers = [ObstacleState(position=c0[0] + [1.0, 2.0], velocity=[0.0, -3.0],
+                            radius=2.5),
+              ObstacleState(position=c0[0] + 20.0 * heading,
+                            velocity=15.0 * heading, radius=2.5)]
+    cases.append((start, statics, movers, config))
     return cases
 
 
