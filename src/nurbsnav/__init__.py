@@ -14,7 +14,7 @@ from .scenario import Scenario, ScenarioError, load_scenario, run_mission
 from .tracking import (FieldGains, UavState, VehicleLimits,
                        heading_rate_command, step_dubins, vector_field)
 from .velocity_obstacle import (ObstacleState, VOCheck, in_truncated_vo,
-                                path_vo_violation, s_tau, time_to_collision)
+                                path_vo_violation, time_to_collision)
 from .world import (CollisionEvent, DynamicObstacle, SimLog, StaticObstacle,
                     World)
 

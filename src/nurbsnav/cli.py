@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import delta_dimension
 from .planner import replan_cycle, initial_path
 from .plot import emit_plot
 from .scenario import ScenarioError, load_scenario, run_mission
@@ -65,12 +66,15 @@ def _bench_replan(scenario, seed: int, n_replans: int,
     curve = initial_path(wps[0], wps[1], config)
     sensed = world.sense(state.position, config.r_view)
     statics = world.visible_statics(state.position, config.r_view)
-    walls, evals, feasible = [], [], 0
+    walls, evals, feasible, dimension = [], [], 0, None
     for i in range(n_replans):
         result = replan_cycle(curve, state, sensed, config,
                               seed=seed * 100003 + i, statics=statics)
         if result is None:
             continue
+        # A plan keeps its cut's control-point layout, so this is the
+        # dimension the search ran in.
+        dimension = delta_dimension(result.curve)
         walls.append(result.wall_time)
         evals.append(result.evals)
         feasible += int(result.feasible)
@@ -80,7 +84,7 @@ def _bench_replan(scenario, seed: int, n_replans: int,
         "mode": "bench-replan",
         "replans": n,
         "sensed_obstacles": len(sensed),
-        "decision_dimension": 3 * config.n_interior + 2,
+        "decision_dimension": dimension,
         "feasible_count": feasible,
         "wall_time": {
             "median": walls[n // 2] if n else None,

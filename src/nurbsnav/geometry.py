@@ -478,12 +478,11 @@ class NurbsCurve:
         _, c1 = self.derivatives(s_arr, order=1)
         return np.sqrt(np.einsum("ij,ij->i", c1, c1))
 
-    def arc_length(self, s0: float = 0.0, s1: float = 1.0,
-                   rel_tol: float = 1e-9) -> float:
+    def arc_length(self, s0: float = 0.0, s1: float = 1.0) -> float:
         """Arc length of the curve between two parameters.
 
         Composite Gauss-Legendre quadrature of the parametric speed, with
-        panels refined until the total stabilizes to rel_tol.
+        panels refined until the total stabilizes to 1e-9 relative.
         """
         if s0 > s1:
             raise ValueError("arc_length requires s0 <= s1")
@@ -506,7 +505,7 @@ class NurbsCurve:
             pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
             speeds = self._speed(pts).reshape(len(a), len(nodes))
             total = float(np.sum(half * (speeds @ wts)))
-            if prev is not None and abs(total - prev) <= rel_tol * max(abs(total), 1e-300):
+            if prev is not None and abs(total - prev) <= 1e-9 * max(abs(total), 1e-300):
                 return total
             if n_sub >= 128:
                 return total
@@ -803,14 +802,11 @@ def _regular_triple(anchor: np.ndarray, triple: np.ndarray) -> bool:
             and np.linalg.norm(triple[2] - triple[1] - step) <= tol)
 
 
-def _vary(base: NurbsCurve, deltas: np.ndarray, lower, upper
+def _vary(base: NurbsCurve, deltas: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray]:
     """Control points (P, n, 2) and weights (P, n) of P variations."""
     n = base.control_points.shape[0]
     n_mov = n - 8
-    if lower is not None:
-        deltas = np.clip(deltas, np.asarray(lower, dtype=float),
-                         np.asarray(upper, dtype=float))
     n_var = deltas.shape[0]
     pts = np.repeat(base.control_points[None], n_var, axis=0)
     w = np.repeat(base.weights[None], n_var, axis=0)
@@ -851,19 +847,20 @@ def apply_delta(base: NurbsCurve, delta, lower=None, upper=None) -> NurbsCurve:
     dim = 3 * (n - 8) + 2
     if delta.shape != (dim,):
         raise ValueError(f"delta must have dimension {dim}, got {delta.shape}")
-    pts, w = _vary(base, delta[None], lower, upper)
+    if lower is not None:
+        delta = np.clip(delta, np.asarray(lower, dtype=float),
+                        np.asarray(upper, dtype=float))
+    pts, w = _vary(base, delta[None])
     return NurbsCurve(degree=base.degree, control_points=pts[0], weights=w[0],
                       knots=np.array(base.knots))
 
 
-def apply_delta_batch(base: NurbsCurve, deltas: np.ndarray, lower,
-                      upper) -> np.ndarray:
-    """apply_delta for a (P, dim) array of variations at once.
+def apply_delta_batch(base: NurbsCurve, deltas: np.ndarray) -> np.ndarray:
+    """apply_delta for a (P, dim) array of variations at once, unclipped.
 
     Returns the homogeneous control points (w x, w y, w) as a (P, n, 3)
     tensor; every variation keeps the base knot vector, so its basis is
-    the base curve's. Row p equals apply_delta(base, deltas[p], lower,
-    upper).homogeneous.
+    the base curve's. Row p equals apply_delta(base, deltas[p]).homogeneous.
     """
-    pts, w = _vary(base, np.asarray(deltas, dtype=float), lower, upper)
+    pts, w = _vary(base, np.asarray(deltas, dtype=float))
     return np.concatenate([w[..., None] * pts, w[..., None]], axis=-1)

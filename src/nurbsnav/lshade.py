@@ -130,7 +130,6 @@ class OptimizerConfig:
 class OptimizerStats:
     evaluations: int = 0
     generations: int = 0
-    wall_time: float = 0.0
     # Objective and total violation of row 0 of the initial population,
     # the first warm start when one is given; the probe chunk always
     # evaluates it.
@@ -371,5 +370,4 @@ def optimize(problem: ProblemDef, config: OptimizerConfig,
             keep = rank(pop_f, pop_v)[:pop_size]
             pop_x, pop_f, pop_v = pop_x[keep], pop_f[keep], pop_v[keep]
 
-    stats.wall_time = time.perf_counter() - start
     return best, stats

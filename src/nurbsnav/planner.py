@@ -27,6 +27,8 @@ from .world import SimLog, World
 
 FEAS_EPS = 1e-12
 GAIN_RTOL = 1e-9  # relative gain below which a variation is not flown
+N_CURV_SAMPLES = 64  # curvature and static-clearance grid of a candidate
+N_VO_SAMPLES = 20  # VO samples along a candidate, uniform in arc length
 
 
 @dataclass(frozen=True)
@@ -50,33 +52,38 @@ class PlannerConfig:
     r_safe: float = 5.0  # safety radius, m
     r_view: float = 80.0  # sensing range, m
     n_interior: int = 8
-    n_curv_samples: int = 64
-    n_vo_samples: int = 20
     waypoint_tolerance: float = 3.0
     budget_mode: bool = False  # True: deterministic, no wall deadline
     disable_vo: bool = False
     disable_curvature: bool = False
-    gains: FieldGains = None  # defaults to beta matched to the turn radius
     optimizer: OptimizerConfig = field(
         default_factory=lambda: OptimizerConfig(budget=512, n_init=40))
+    # The fixed sampling densities, read-only, for callers that size their
+    # own checks by them.
+    n_curv_samples = property(lambda self: N_CURV_SAMPLES)
+    n_vo_samples = property(lambda self: N_VO_SAMPLES)
 
     def __post_init__(self):
         if self.t_replan <= 0.0:
             raise ValueError("t_replan must be positive")
         if self.tau <= self.t_replan:
             raise ValueError("VO horizon tau must exceed t_replan")
+        if self.kappa_max <= 0.0:
+            raise ValueError("kappa_max must be positive")
         if min(self.r_safe, self.r_view) <= 0.0 or self.r_u < 0.0:
             raise ValueError("radii must be positive (r_u may be zero)")
         if self.n_interior < 1:
             raise ValueError("need at least one movable interior point")
-        if self.gains is None:
-            # The normal blend should saturate over the turning-radius
-            # scale, not over one meter, or the tracker limit-cycles.
-            self.gains = FieldGains(beta=self.kappa_max)
 
     @property
     def rho_min(self) -> float:
         return 1.0 / self.kappa_max
+
+    @property
+    def gains(self) -> FieldGains:
+        # The normal blend should saturate over the turning-radius scale,
+        # not over one meter, or the tracker limit-cycles.
+        return FieldGains(beta=self.kappa_max)
 
 
 @dataclass
@@ -88,7 +95,6 @@ class ReplanResult:
     wall_time: float
     evals: int
     delta: np.ndarray | None = None
-    anchor: float = 0.0  # projection parameter on the previous curve
     remaining_length: float = 0.0
 
 
@@ -157,27 +163,24 @@ def cut_path_at_projection(curve: NurbsCurve, uav_state: UavState,
 
 
 def constraint_violations(candidate: NurbsCurve, statics, dynamics,
-                          config: PlannerConfig, speed: float,
-                          scale: int = 1) -> np.ndarray:
+                          config: PlannerConfig, speed: float) -> np.ndarray:
     """[static-obstacle, curvature, velocity-obstacle] violation magnitudes.
 
     All components are non-negative and zero iff the sampled constraint
-    holds; `scale` multiplies every sampling density (used for the 4x
-    post-check of accepted plans). Static clearance is sampled on the
-    curvature grid.
+    holds. Static clearance is sampled on the curvature grid.
     """
-    curv_grid = np.linspace(0.0, 1.0, config.n_curv_samples * scale)
+    curv_grid = np.linspace(0.0, 1.0, N_CURV_SAMPLES)
     c0, kappa = candidate.positions_and_curvatures(curv_grid)
     return _sampled_violations(candidate, c0, kappa, statics, dynamics,
-                               config, speed, scale)
+                               config, speed, N_VO_SAMPLES)
 
 
 def _sampled_violations(candidate: NurbsCurve, c0: np.ndarray,
                         kappa: np.ndarray, statics, dynamics,
                         config: PlannerConfig, speed: float,
-                        scale: int) -> np.ndarray:
-    """constraint_violations from the positions and curvatures on its
-    curvature grid."""
+                        n_vo_samples: int) -> np.ndarray:
+    """constraint_violations from the positions and curvatures on a
+    curvature grid, with n_vo_samples VO samples."""
     v_obs = 0.0
     for s in statics:
         d = np.linalg.norm(c0 - s.center, axis=1)
@@ -197,7 +200,7 @@ def _sampled_violations(candidate: NurbsCurve, c0: np.ndarray,
         v_vo = path_vo_violation(candidate, speed, dynamics,
                                  r_u=config.r_u + config.r_safe,
                                  tau=config.tau,
-                                 n_samples=config.n_vo_samples * scale)
+                                 n_samples=n_vo_samples)
     return np.array([v_obs, v_curv, v_vo])
 
 
@@ -205,10 +208,10 @@ def _verify(candidate: NurbsCurve, statics, dynamics, config: PlannerConfig,
             speed: float) -> tuple[bool, dict]:
     """Re-check all constraint families at 4x sampling density; the
     curvature peak search starts from the same grid's curvatures."""
-    grid = np.linspace(0.0, 1.0, 4 * config.n_curv_samples)
+    grid = np.linspace(0.0, 1.0, 4 * N_CURV_SAMPLES)
     c0, kappa = candidate.positions_and_curvatures(grid)
     v = _sampled_violations(candidate, c0, kappa, statics, dynamics, config,
-                            speed, scale=4)
+                            speed, 4 * N_VO_SAMPLES)
     if not config.disable_curvature:
         k_peak, _ = candidate.max_curvature(grid.size, kappa=kappa)
         v[1] = max(v[1], max(0.0, k_peak - config.kappa_max - 1e-9))
@@ -231,17 +234,15 @@ class _CycleKernel:
     constraint_violations to rounding.
     """
 
-    def __init__(self, base: NurbsCurve, lower, upper, statics, dynamics,
+    def __init__(self, base: NurbsCurve, statics, dynamics,
                  config: PlannerConfig, speed: float):
         self.base = base
-        self.lower = lower
-        self.upper = upper
         self.config = config
         self.speed = speed
         knots, degree = base.knots, base.degree
         _, self.half, gl_nodes = geometry.arclen_cells(knots)
         self.gl_basis = geometry.basis_matrices(knots, degree, gl_nodes, 1)
-        self.curv_grid = np.linspace(0.0, 1.0, config.n_curv_samples)
+        self.curv_grid = np.linspace(0.0, 1.0, N_CURV_SAMPLES)
         self.curv_basis = geometry.basis_matrices(knots, degree,
                                                   self.curv_grid, 2)
         statics = list(statics)
@@ -258,7 +259,7 @@ class _CycleKernel:
             _, table = geometry.piece_map(knots, degree)
             self.vo_width = 2 * degree + 1
             self.vo_map = table[:, : self.vo_width].reshape(-1, table.shape[-1]).T
-            self.vo_frac = np.linspace(0.0, 1.0, config.n_vo_samples)
+            self.vo_frac = np.linspace(0.0, 1.0, N_VO_SAMPLES)
 
     @staticmethod
     def _derivs(mats, hom_rows):
@@ -272,7 +273,7 @@ class _CycleKernel:
     def evaluate(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Path lengths (P,) and [static, curvature, VO] violations (P, 3)."""
         config = self.config
-        hom = geometry.apply_delta_batch(self.base, xs, self.lower, self.upper)
+        hom = geometry.apply_delta_batch(self.base, xs)
         # One (3P, n) matrix: every product below is a single matmul, and
         # the x, y, w planes of its result are contiguous.
         hom_rows = hom.transpose(2, 0, 1).reshape(-1, hom.shape[1])
@@ -284,8 +285,8 @@ class _CycleKernel:
         kappa, ok = geometry.curvature_values(c1, c2)
         for p in np.nonzero(~ok.all(axis=1))[0]:
             # A vanishing tangent: the scalar path's offset rule, this row only.
-            kappa[p] = geometry.apply_delta(self.base, xs[p], self.lower,
-                                            self.upper).curvatures(self.curv_grid)
+            kappa[p] = geometry.apply_delta(self.base,
+                                            xs[p]).curvatures(self.curv_grid)
 
         v = np.zeros((xs.shape[0], 3))
         if self.clearance.size:
@@ -364,8 +365,8 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
     infeasible; the tracker keeps following it and retries next cycle.
     """
     t0 = time.perf_counter()
-    cut, anchor = cut_path_at_projection(curve, uav_state, config.t_replan,
-                                         hint=anchor_hint)
+    cut, _ = cut_path_at_projection(curve, uav_state, config.t_replan,
+                                    hint=anchor_hint)
     if cut is None:
         return None
 
@@ -373,8 +374,7 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
     plan, f, evals, delta = cut, remaining, 0, None
     if geometry.movable_count(cut) >= 1:
         lower, upper = delta_bounds(cut, config)
-        kernel = _CycleKernel(cut, lower, upper, statics, sensed, config,
-                              uav_state.speed)
+        kernel = _CycleKernel(cut, statics, sensed, config, uav_state.speed)
         problem = ProblemDef(dimension=lower.size, lower=lower, upper=upper,
                              batch=kernel.evaluate)
         deadline = None if config.budget_mode else 0.8 * config.t_replan
@@ -387,7 +387,7 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
         evals = stats.evaluations
         f, delta = stats.first_f, warm[0]
         if _real_gain(best, stats.first_f, stats.first_violation):
-            plan = geometry.apply_delta(cut, best.x, lower, upper)
+            plan = geometry.apply_delta(cut, best.x)
             f, delta = best.f, np.array(best.x)
 
     feasible, violations = _verify(plan, statics, sensed, config,
@@ -395,8 +395,7 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
     return ReplanResult(curve=plan, feasible=feasible, f=f,
                         violations=violations,
                         wall_time=time.perf_counter() - t0, evals=evals,
-                        delta=delta, anchor=anchor,
-                        remaining_length=remaining)
+                        delta=delta, remaining_length=remaining)
 
 
 def mission_loop(waypoints: list, world: World, config: PlannerConfig,

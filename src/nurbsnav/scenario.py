@@ -108,13 +108,13 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     uav = _object(_require(data, "uav", "scenario"), "uav")
     start = _point(_require(uav, "start", "uav"), "uav.start")
     heading = _number(_require(uav, "heading", "uav"), "uav.heading")
-    speed = _number(_require(uav, "speed", "uav"), "uav.speed")
-    if speed <= 0.0:
-        raise ScenarioError("uav.speed: must be positive")
-    kappa_max = _number(_require(uav, "kappa_max", "uav"), "uav.kappa_max")
-    r_safe = _number(_require(uav, "r_safe", "uav"), "uav.r_safe")
-    r_view = _number(_require(uav, "r_view", "uav"), "uav.r_view")
+    speed = _positive(_require(uav, "speed", "uav"), "uav.speed")
+    kappa_max = _positive(_require(uav, "kappa_max", "uav"), "uav.kappa_max")
+    r_safe = _positive(_require(uav, "r_safe", "uav"), "uav.r_safe")
+    r_view = _positive(_require(uav, "r_view", "uav"), "uav.r_view")
     r_u = _number(uav.get("r_u", 0.0), "uav.r_u")
+    if r_u < 0.0:
+        raise ScenarioError(f"uav.r_u: must be non-negative, got {r_u!r}")
 
     wps_raw = _list(_require(data, "waypoints", "scenario"), "waypoints")
     if not wps_raw:
@@ -170,12 +170,8 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
             r_safe=r_safe,
             r_view=r_view,
             n_interior=_integer(pl.get("n_interior", 8), "planner.n_interior", 1),
-            n_curv_samples=_integer(pl.get("n_curv_samples", 64),
-                                    "planner.n_curv_samples", 2),
-            n_vo_samples=_integer(pl.get("n_vo_samples", 20),
-                                  "planner.n_vo_samples", 2),
-            waypoint_tolerance=_number(pl.get("waypoint_tolerance", 3.0),
-                                       "planner.waypoint_tolerance"),
+            waypoint_tolerance=_positive(pl.get("waypoint_tolerance", 3.0),
+                                         "planner.waypoint_tolerance"),
             budget_mode=_boolean(pl.get("budget_mode", False),
                                  "planner.budget_mode"),
             optimizer=opt,
@@ -186,9 +182,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(f"planner: {exc}") from exc
 
     sim = _object(data.get("sim", {}), "sim")
-    dt_sim = _number(sim.get("dt", planner.t_replan / 10.0), "sim.dt")
-    if dt_sim <= 0.0:
-        raise ScenarioError("sim.dt: must be positive")
+    dt_sim = _positive(sim.get("dt", planner.t_replan / 10.0), "sim.dt")
     max_steps = _integer(sim.get("max_steps", 20000), "sim.max_steps", 1)
 
     return Scenario(uav_start=start, uav_heading=heading, uav_speed=speed,

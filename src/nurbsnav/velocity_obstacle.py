@@ -139,22 +139,10 @@ def in_truncated_vo(v_u, p_u, obs: ObstacleState, r_u: float,
                    depth=(tau - t_star) / tau)
 
 
-def s_tau(curve: NurbsCurve, speed: float, tau: float) -> float:
-    """Parameter reached after travelling speed * tau along the curve.
-
-    Returns 1 when the whole path is shorter than the travelled distance.
-    """
-    if speed <= 0.0:
-        raise ValueError("speed must be positive")
-    target = speed * tau
-    if target >= curve.total_length():
-        return 1.0
-    return float(curve.param_at_length(target))
-
-
 def path_vo_violation(curve: NurbsCurve, speed: float, obstacles,
                       r_u: float, tau: float, n_samples: int = 20) -> float:
-    """Total truncated-VO violation depth along the path up to s_tau.
+    """Total truncated-VO violation depth along the first speed * tau
+    metres of the path (all of it, when shorter).
 
     Samples are uniform in arc length; each sample j is an agent state at
     time t_j = arclen_j / speed, checked against every obstacle propagated

@@ -103,11 +103,21 @@ def _patched(section: str, key: str, value, index: int | None = None) -> dict:
     (tiny_scenario(static_obstacles=[{"center": [50.0, 30.0], "radius": 2.0,
                                       "known": "no"}]),
      "static_obstacles[0].known"),
+    (_patched("planner", "waypoint_tolerance", -1.0),
+     "planner.waypoint_tolerance"),
+    (_patched("planner", "waypoint_tolerance", 0.0),
+     "planner.waypoint_tolerance"),
+    (_patched("uav", "kappa_max", 0.0), "uav.kappa_max"),
+    (_patched("uav", "r_safe", 0.0), "uav.r_safe"),
+    (_patched("uav", "r_view", -80.0), "uav.r_view"),
+    (_patched("uav", "r_u", -1.0), "uav.r_u"),
 ], ids=["budget-not-a-number", "budget-zero", "max-steps-negative",
         "static-radius-negative", "dynamic-radius-zero",
         "waypoint-repeats-previous", "waypoint-equals-start",
         "waypoint-not-an-object", "statics-not-a-list", "sim-not-an-object",
-        "budget-mode-string", "known-string"])
+        "budget-mode-string", "known-string", "tolerance-negative",
+        "tolerance-zero", "kappa-max-zero", "r-safe-zero",
+        "r-view-negative", "r-u-negative"])
 def test_invalid_field_exit_code(tmp_path, capsys, data, field):
     path = write_scenario(tmp_path, data)
     code = main(["--scenario", str(path), "--mode", "validate"])
@@ -254,12 +264,18 @@ def test_seed_flag_overrides_scenario_seed(tmp_path):
 
 
 def test_unread_planner_keys_are_ignored(tmp_path):
-    # LSHADE's p-best share is a constant; a scenario that still sets it,
-    # even to a share above 1, flies as one that does not.
-    odd = tiny_scenario()
-    odd["planner"]["p_best"] = 2.5
+    # LSHADE's p-best share and the planner's sampling densities are
+    # constants; a scenario that still sets them, even to a share above 1
+    # or to coarser grids, flies as one that does not. A disc next to the
+    # line and a crossing mover make both grids matter to the search.
+    plain = tiny_scenario(
+        static_obstacles=[{"center": [60.0, 4.0], "radius": 3.0}],
+        dynamic_obstacles=[{"pos": [70.0, -40.0], "vel": [0.0, 8.0],
+                            "radius": 2.0}])
+    odd = copy.deepcopy(plain)
+    odd["planner"].update(p_best=2.5, n_curv_samples=7, n_vo_samples=3)
     blobs = []
-    for name, data in (("odd", odd), ("plain", tiny_scenario())):
+    for name, data in (("odd", odd), ("plain", plain)):
         path = write_scenario(tmp_path, data, name=f"{name}.json")
         out = tmp_path / name
         assert main(["--scenario", str(path), "--out", str(out)]) == EXIT_OK

@@ -234,6 +234,28 @@ def test_population_never_drops_below_minimum():
     assert all(a >= b for a, b in zip(sizes[:-1], sizes[1:-1]))
 
 
+def test_batch_evaluator_sees_only_rows_inside_the_box():
+    # The planner's kernel applies rows unclipped, so optimize must keep
+    # every row it evaluates in the box: warm starts outside it on either
+    # side included.
+    lower, upper = np.array([-2.0, 0.05, -0.5]), np.array([3.0, 2.0, 0.5])
+    rows = []
+
+    def batch(xs):
+        rows.append(np.array(xs))
+        return np.sum(xs * xs, axis=1), np.zeros((xs.shape[0], 1))
+
+    problem = ProblemDef(dimension=3, lower=lower, upper=upper, batch=batch)
+    warm = [np.array([-7.0, 0.0, 4.0]), np.array([9.0, 5.0, -0.6]),
+            np.array([0.0, 1.0, 0.0])]
+    for seed in range(5):
+        optimize(problem, OptimizerConfig(budget=600, n_init=20, seed=seed),
+                 warm_start=warm)
+    xs = np.concatenate(rows)
+    assert xs.shape == (3000, 3)
+    assert np.all((xs >= lower) & (xs <= upper))
+
+
 # -- full optimization ----------------------------------------------------
 
 def test_sphere_convergence_single_seed():

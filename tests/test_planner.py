@@ -199,7 +199,7 @@ def test_batch_kernel_matches_scalar_path():
     for base, statics, movers, config in cases:
         lower, upper = delta_bounds(base, config)
         xs = _kernel_candidates(base, lower, upper, rng)
-        kernel = _CycleKernel(base, lower, upper, statics, movers, config, 15.0)
+        kernel = _CycleKernel(base, statics, movers, config, 15.0)
         lengths, violations = kernel.evaluate(xs)
         # Every family is active on some candidates.
         assert np.all(np.any(violations > 0.0, axis=0))
@@ -237,7 +237,7 @@ def test_batch_kernel_matches_scalar_path_on_short_cut():
     rng = np.random.default_rng(6)
     xs = geometry.neutral_delta(base) \
         + 0.1 * (rng.random((24, lower.size)) - 0.5) * (upper - lower)
-    kernel = _CycleKernel(base, lower, upper, statics, movers, config, 15.0)
+    kernel = _CycleKernel(base, statics, movers, config, 15.0)
     lengths, violations = kernel.evaluate(xs)
     assert np.all(lengths < 15.0 * config.tau)
     assert np.all(np.any(violations > 0.0, axis=0))

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from nurbsnav.geometry import NurbsCurve, clamped_uniform_knots
+from nurbsnav.geometry import NurbsCurve
 from nurbsnav.velocity_obstacle import (ObstacleState, in_truncated_vo,
                                         obstacle_arrays, path_vo_violation,
-                                        s_tau, time_to_collision, vo_depth)
+                                        time_to_collision, vo_depth)
 
 
 def straight_path(length: float = 100.0) -> NurbsCurve:
@@ -16,13 +16,6 @@ def straight_path(length: float = 100.0) -> NurbsCurve:
                       control_points=np.array([[0.0, 0.0], [length, 0.0]]),
                       weights=np.ones(2),
                       knots=np.array([0.0, 0.0, 1.0, 1.0]))
-
-
-def bowed_path() -> NurbsCurve:
-    pts = np.array([[0.0, 0.0], [25.0, 18.0], [50.0, 22.0], [75.0, 18.0],
-                    [100.0, 0.0]])
-    return NurbsCurve(degree=3, control_points=pts, weights=np.ones(5),
-                      knots=clamped_uniform_knots(5, 3))
 
 
 # -- time to collision ----------------------------------------------------
@@ -159,25 +152,6 @@ def test_vo_depth_edge_cases():
         assert got[0] == pytest.approx(expected, abs=1e-15), (row, got)
 
 
-# -- horizon parameter ----------------------------------------------------
-
-def test_s_tau_uniform_segment():
-    c = straight_path(100.0)
-    s = s_tau(c, speed=10.0, tau=2.0)
-    assert s == pytest.approx(0.2, abs=1e-9)
-    assert c.arc_length(0.0, s) == pytest.approx(20.0, abs=1e-6)
-
-
-def test_s_tau_saturates_at_one():
-    assert s_tau(straight_path(10.0), speed=10.0, tau=5.0) == 1.0
-
-
-def test_s_tau_general_curve_arc_consistency():
-    c = bowed_path()
-    s = s_tau(c, speed=12.0, tau=3.0)
-    assert c.arc_length(0.0, s) == pytest.approx(36.0, rel=1e-6)
-
-
 # -- path constraint ------------------------------------------------------
 
 def test_path_violation_empty_is_zero():
@@ -222,7 +196,5 @@ def test_path_violation_input_validation():
         path_vo_violation(straight_path(), 10.0,
                           [ObstacleState([1.0, 0.0], [0.0, 0.0], 1.0)],
                           1.0, 3.0, n_samples=1)
-    with pytest.raises(ValueError):
-        s_tau(straight_path(), speed=0.0, tau=1.0)
     with pytest.raises(ValueError):
         ObstacleState(position=[0.0, 0.0], velocity=[0.0, 0.0], radius=0.0)
