@@ -14,12 +14,18 @@ per batch is the cheapest form. Every other query, a curve's own points
 and derivatives and the candidates' VO samples, uses the piecewise Bezier
 form of `piece_map`: per piece, the Bernstein coefficients of the curve
 and of its first two derivatives, so a query is a piece lookup and one
-Bernstein evaluation.
+Bernstein evaluation. That evaluation has two implementations on the
+same coefficients: numpy arrays for many parameters at once
+(`piece_derivatives`, `NurbsCurve._derivs`), and Python floats for one
+parameter (`NurbsCurve._derivs_at`), which the projection's Newton steps,
+the tracker and the scalar arc-length queries use because numpy's
+per-call cost would dominate a single point.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -301,11 +307,11 @@ def _bernstein_layout(degree: int):
     the p - k + 1 Bernstein terms of the k-th derivative, one block after
     the other (L terms in all).
 
-    Returns the exponents 0..p, the (p + 1, L) matrix taking the powers of
-    t to the Bernstein polynomials C(q, i) t^i (1 - t)^(q - i) of the
-    layout, the (L, blocks) 0/1 matrix summing each block, and the end
-    of each block. The matrix entries are small integers, so at t = 0 and
-    t = 1 the polynomials come out exactly 0 or 1.
+    Returns the (p + 1, L) matrix taking the powers of t to the Bernstein
+    polynomials C(q, i) t^i (1 - t)^(q - i) of the layout, the (L, blocks)
+    0/1 matrix summing each block, and the end of each block. The matrix
+    entries are small integers, so at t = 0 and t = 1 the polynomials come
+    out exactly 0 or 1.
     """
     cols, blocks = [], []
     for k in range(min(degree, 2) + 1):
@@ -318,7 +324,7 @@ def _bernstein_layout(degree: int):
             blocks.append(k)
     blocks = np.array(blocks)
     block_sum = (blocks[:, None] == np.arange(blocks[-1] + 1)).astype(float)
-    return (np.arange(degree + 1.0), np.column_stack(cols), block_sum,
+    return (np.column_stack(cols), block_sum,
             np.cumsum(block_sum.sum(axis=0)).astype(int))
 
 
@@ -331,13 +337,19 @@ def piece_derivatives(coef: np.ndarray, t: np.ndarray, degree: int,
     `_piece_map` layout, with any leading axes (components first, say);
     `t` holds the local parameters and broadcasts against coef[..., 0].
     Each derivative keeps the leading shape; orders above min(degree, 2)
-    are None. At t = 0 and t = 1 every Bernstein weight but one is exactly
-    zero, so piece ends evaluate to their end coefficients exactly.
+    are None. The powers of t are running products; at t = 0 and t = 1
+    every Bernstein weight but one is exactly zero, so piece ends evaluate
+    to their end coefficients exactly.
     """
-    exps, to_bernstein, block_sum, block_ends = _bernstein_layout(degree)
+    to_bernstein, block_sum, block_ends = _bernstein_layout(degree)
     n_ord = min(order, block_ends.size - 1) + 1
     width = block_ends[n_ord - 1]
-    w = (t[..., None] ** exps) @ to_bernstein[:, :width]
+    powers = np.empty(np.shape(t) + (degree + 1,))
+    powers[..., 0] = 1.0
+    powers[..., 1] = t
+    for e in range(2, degree + 1):
+        np.multiply(powers[..., e - 1], t, out=powers[..., e])
+    w = powers @ to_bernstein[:, :width]
     sums = (coef[..., :width] * w) @ block_sum[:width, :n_ord]
     return [sums[..., k] for k in range(n_ord)] + [None] * (order + 1 - n_ord)
 
@@ -415,6 +427,67 @@ class NurbsCurve:
         coef = np.moveaxis(table @ self.homogeneous, -1, 0)
         return edges, np.ascontiguousarray(coef)
 
+    @cached_property
+    def _piece_lists(self) -> tuple[list, list]:
+        """`_pieces` as Python lists for one-parameter queries: the piece
+        edges, and per piece the x, y and w rows of its coefficients."""
+        edges, coef = self._pieces
+        return edges.tolist(), coef.transpose(1, 0, 2).tolist()
+
+    def _piece_at(self, s: float) -> int:
+        """Index of the piece holding s, as in `_derivs`."""
+        edges = self._piece_lists[0]
+        return min(bisect_right(edges, s), len(edges) - 1) - 1
+
+    def _derivs_at(self, s: float, order: int = 2) -> list:
+        """Rational derivatives [C, C', C''][: order + 1] at one checked
+        parameter, each an (x, y) pair of floats.
+
+        `_derivs` for a single parameter without numpy's per-call cost: a
+        bisect piece lookup, then one Bernstein sum per derivative on that
+        piece's coefficients, with weights C(q, i) t^i (1 - t)^(q - i) from
+        running products of t and 1 - t (exactly 0 or 1 at the piece ends).
+        C'' of a degree-1 curve is zero.
+        """
+        edges, coefs = self._piece_lists
+        k = self._piece_at(s)
+        a = edges[k]
+        t = (s - a) / (edges[k + 1] - a)
+        u = 1.0 - t
+        p = self.degree
+        tp, up = [1.0], [1.0]
+        for _ in range(p):
+            tp.append(tp[-1] * t)
+            up.append(up[-1] * u)
+        xs, ys, ws = coefs[k]
+        hom = []
+        j = 0
+        for q in range(p, p - min(order, p, 2) - 1, -1):
+            x = y = w = 0.0
+            for i in range(q + 1):
+                b = math.comb(q, i) * tp[i] * up[q - i]
+                x += b * xs[j]
+                y += b * ys[j]
+                w += b * ws[j]
+                j += 1
+            hom.append((x, y, w))
+        # The quotient rule of `rational_derivatives`.
+        x0, y0, w0 = hom[0]
+        c0 = (x0 / w0, y0 / w0)
+        out = [c0]
+        if order >= 1:
+            x1, y1, w1 = hom[1]
+            c1 = ((x1 - c0[0] * w1) / w0, (y1 - c0[1] * w1) / w0)
+            out.append(c1)
+        if order >= 2:
+            if p < 2:
+                out.append((0.0, 0.0))
+            else:
+                x2, y2, w2 = hom[2]
+                out.append(((x2 - 2.0 * c1[0] * w1 - c0[0] * w2) / w0,
+                            (y2 - 2.0 * c1[1] * w1 - c0[1] * w2) / w0))
+        return out
+
     def derivatives(self, s, order: int = 2):
         """Return (C, C', C'') arrays at the given parameter(s).
 
@@ -478,6 +551,10 @@ class NurbsCurve:
         _, c1 = self.derivatives(s_arr, order=1)
         return np.sqrt(np.einsum("ij,ij->i", c1, c1))
 
+    def _speed_at(self, s: float) -> float:
+        _, (dx, dy) = self._derivs_at(s, 1)
+        return math.sqrt(dx * dx + dy * dy)
+
     def arc_length(self, s0: float = 0.0, s1: float = 1.0) -> float:
         """Arc length of the curve between two parameters.
 
@@ -519,10 +596,13 @@ class NurbsCurve:
         return edges, cumulative_length(half, self._speed(pts))
 
     def length_from_start(self, s) -> np.ndarray | float:
-        """Accurate L(s) = arc_length(0, s) via the cached grid."""
-        scalar = np.isscalar(s) or np.ndim(s) == 0
+        """Accurate L(s) = arc_length(0, s) via the cached grid: the grid
+        length at the start of s's cell plus 5-point Gauss-Legendre
+        quadrature of the speed over the rest of the way to s."""
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         self._check_params(s_arr)
+        if np.isscalar(s) or np.ndim(s) == 0:
+            return self._length_at(float(s_arr[0]))
         edges, cum = self._arclen_grid
         idx = np.minimum(np.searchsorted(edges, s_arr, side="right") - 1,
                          len(edges) - 2)
@@ -532,8 +612,20 @@ class NurbsCurve:
         mid = 0.5 * (s_arr + a)
         pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
         speeds = self._speed(pts).reshape(len(s_arr), len(nodes))
-        out = cum[idx] + half * (speeds @ wts)
-        return float(out[0]) if scalar else out
+        return cum[idx] + half * (speeds @ wts)
+
+    def _length_at(self, s: float) -> float:
+        """`length_from_start` at one checked parameter, in floats. The
+        arc-length cells are the pieces, so s's cell is its piece."""
+        k = self._piece_at(s)
+        a = self._piece_lists[0][k]
+        half = 0.5 * (s - a)
+        mid = 0.5 * (s + a)
+        nodes, wts = (x.tolist() for x in _leggauss(5))
+        quad = 0.0
+        for x, w in zip(nodes, wts):
+            quad += self._speed_at(mid + half * x) * w
+        return float(self._arclen_grid[1][k]) + half * quad
 
     def total_length(self) -> float:
         _, cum = self._arclen_grid
@@ -553,12 +645,20 @@ class NurbsCurve:
         tgt = np.clip(tgt, 0.0, cum[-1])
         idx, frac = locate_length(cum, tgt)
         s = edges[idx] + frac * (edges[idx + 1] - edges[idx])
-        if polish:
+        if not polish:
+            return float(s[0]) if scalar else s
+        if scalar:
+            s, tgt = float(s[0]), float(tgt[0])
             for _ in range(3):
-                resid = np.atleast_1d(self.length_from_start(s)) - tgt
-                speed = np.maximum(self._speed(s), 1e-12)
-                s = np.clip(s - resid / speed, 0.0, 1.0)
-        return float(s[0]) if scalar else s
+                resid = self._length_at(s) - tgt
+                speed = max(self._speed_at(s), 1e-12)
+                s = min(max(s - resid / speed, 0.0), 1.0)
+            return s
+        for _ in range(3):
+            resid = self.length_from_start(s) - tgt
+            speed = np.maximum(self._speed(s), 1e-12)
+            s = np.clip(s - resid / speed, 0.0, 1.0)
+        return s
 
     @cached_property
     def _end_spacing(self) -> tuple[float | None, float | None]:
@@ -579,11 +679,13 @@ class NurbsCurve:
         """Closest point on the curve to q: returns (s*, distance).
 
         Coarse grid scan then Newton refinement of g(s) = (C - q) . C'.
-        With a hint the scan window is centered on it. The Newton result,
-        the grid point and both curve ends are then evaluated in one call,
-        in increasing parameter order; a candidate replaces the best so far
-        only when it is closer by more than 1e-15, so ties at equal
-        distance take the smallest parameter.
+        With a hint the scan window is centered on it. The grid is scanned
+        as one array evaluation; each Newton step and the four final
+        candidates (the Newton result, the grid point and both curve ends)
+        are single-parameter float evaluations. The candidates are taken in
+        increasing parameter order; one replaces the best so far only when
+        it is closer by more than 1e-15, so ties at equal distance take the
+        smallest parameter.
         """
         q = np.asarray(q, dtype=float)
         if hint is None:
@@ -594,26 +696,25 @@ class NurbsCurve:
             grid = np.linspace(lo, hi, PROJ_GRID)
         (pts,) = self.derivatives(grid, order=0)
         d2 = np.einsum("ij,ij->i", pts - q, pts - q)
-        order_idx = int(np.argmin(d2))
-        s = float(grid[order_idx])
+        s_grid = float(grid[int(np.argmin(d2))])
+        qx, qy = float(q[0]), float(q[1])
+        s = s_grid
         for _ in range(PROJ_NEWTON_STEPS):
-            c0, c1, c2 = (c[:, 0] for c in self._derivs(np.array([s]), 2))
-            r = c0 - q
-            g = float(r @ c1)
-            gp = float(c1 @ c1 + r @ c2)
+            (x, y), (dx, dy), (ddx, ddy) = self._derivs_at(s)
+            rx, ry = x - qx, y - qy
+            g = rx * dx + ry * dy
+            gp = dx * dx + dy * dy + (rx * ddx + ry * ddy)
             if abs(g) < PROJ_TOL or gp <= 0.0:
                 break
-            step = g / gp
-            s_new = min(1.0, max(0.0, s - step))
+            s_new = min(1.0, max(0.0, s - g / gp))
             if abs(s_new - s) < 1e-15:
                 s = s_new
                 break
             s = s_new
-        candidates = np.array(sorted([s, float(grid[order_idx]), 0.0, 1.0]))
-        (pts,) = self._derivs(candidates, 0)
-        dists = np.hypot(pts[0] - q[0], pts[1] - q[1])
         best_s, best_d = None, None
-        for cand, dist in zip(candidates.tolist(), dists.tolist()):
+        for cand in sorted([s, s_grid, 0.0, 1.0]):
+            ((x, y),) = self._derivs_at(cand, 0)
+            dist = math.hypot(x - qx, y - qy)
             if best_d is None or dist < best_d - 1e-15:
                 best_s, best_d = cand, dist
         return best_s, best_d

@@ -79,24 +79,24 @@ def vector_field(curve: NurbsCurve, p, gains: FieldGains,
     """
     p = np.asarray(p, dtype=float)
     s_star, dist = curve.project(p, hint=hint)
-    c0, c1 = curve.derivatives(np.array([s_star]), order=1)
-    tangent = c1[0]
-    t_norm = np.linalg.norm(tangent)
+    # One point: float arithmetic costs less than numpy's per-call overhead.
+    (fx, fy), (tx, ty) = curve._derivs_at(s_star, 1)
+    ox, oy = fx - float(p[0]), fy - float(p[1])
+    t_norm = math.hypot(tx, ty)
     if t_norm < 1e-12:
         # Degenerate tangent: head straight for the projection point.
-        toward = c0[0] - p
-        n = np.linalg.norm(toward)
-        return (toward / n if n > 0 else np.array([1.0, 0.0])), s_star
-    t_hat = tangent / t_norm
-    toward = c0[0] - p
-    normal = toward - (toward @ t_hat) * t_hat
-    n_norm = np.linalg.norm(normal)
+        n = math.hypot(ox, oy)
+        return (np.array([ox / n, oy / n]) if n > 0 else np.array([1.0, 0.0])), s_star
+    tx, ty = tx / t_norm, ty / t_norm
+    along = ox * tx + oy * ty
+    nx, ny = ox - along * tx, oy - along * ty
+    n_norm = math.hypot(nx, ny)
     if n_norm < 1e-12 or dist < 1e-12:
-        return t_hat, s_star
-    n_hat = normal / n_norm
+        return np.array([tx, ty]), s_star
     g = (2.0 / math.pi) * math.atan(gains.beta * dist)
     h = math.sqrt(max(1.0 - g * g, 0.0))
-    return g * n_hat + h * t_hat, s_star
+    return np.array([g * (nx / n_norm) + h * tx,
+                     g * (ny / n_norm) + h * ty]), s_star
 
 
 def heading_rate_command(state: UavState, desired_dir, limits: VehicleLimits,

@@ -10,7 +10,7 @@ from nurbsnav.geometry import (HeadingSpec, NurbsCurve, W_MIN, apply_delta,
                                basis_matrices, build_path_with_headings,
                                clamped_uniform_knots, delta_dimension,
                                locate_length, movable_count, neutral_delta,
-                               rational_derivatives, validate_knots)
+                               piece_map, rational_derivatives, validate_knots)
 
 
 def segment(p0=(0.0, 0.0), p1=(10.0, 0.0)) -> NurbsCurve:
@@ -56,6 +56,10 @@ def test_parameter_out_of_domain_rejected():
         segment().point(1.5)
     with pytest.raises(ValueError):
         segment().point(-0.1)
+    with pytest.raises(ValueError):
+        segment().length_from_start(1.5)
+    with pytest.raises(ValueError):
+        segment().length_from_start(-0.1)
 
 
 def test_derivatives_match_finite_differences():
@@ -120,6 +124,25 @@ def test_piecewise_form_matches_cox_de_boor():
         for g, r in zip(got, ref):
             scale = np.max(np.linalg.norm(r, axis=0))
             assert np.max(np.linalg.norm(g - r.T, axis=1)) <= 1e-12 * scale
+
+
+def test_scalar_evaluation_matches_array_form():
+    # The float evaluator behind single-parameter queries agrees with the
+    # array form at s = 0 and s = 1, at every distinct knot and piece edge,
+    # and one ulp either side of each.
+    for c in piecewise_cases():
+        marks = np.unique(np.concatenate([c.knots, piece_map(c.knots, c.degree)[0]]))
+        s = np.unique(np.concatenate([marks, np.nextafter(marks, 2.0),
+                                      np.nextafter(marks, -1.0)]))
+        s = s[(s >= 0.0) & (s <= 1.0)]
+        assert s[0] == 0.0 and s[-1] == 1.0
+        for order in (0, 1, 2):
+            ref = c._derivs(s, order)
+            got = np.array([c._derivs_at(x, order) for x in s.tolist()])
+            for k in range(order + 1):
+                scale = np.max(np.linalg.norm(ref[k], axis=0))
+                err = np.max(np.linalg.norm(got[:, k] - ref[k].T, axis=1))
+                assert err <= 1e-12 * scale
 
 
 def test_piecewise_form_interpolates_ends_exactly():
@@ -340,6 +363,22 @@ def test_locate_length_matches_searchsorted():
         one_idx, one_frac = locate_length(cum[row], targets[row])
         assert np.array_equal(one_idx, ref_idx)
         assert np.array_equal(one_frac, ref_frac)
+
+
+def test_scalar_length_queries_match_array_form():
+    rng = np.random.default_rng(17)
+    for c in piecewise_cases() + [random_heading_path(rng) for _ in range(4)]:
+        edges, cum = c._arclen_grid
+        total = c.total_length()
+        s = np.concatenate([[0.0, 1.0, edges[len(edges) // 2]], rng.uniform(size=6)])
+        ref = c.length_from_start(s)
+        got = np.array([c.length_from_start(x) for x in s.tolist()])
+        assert np.all(np.abs(got - ref) <= 1e-12 * total)
+        targets = np.concatenate([[0.0, total, cum[len(cum) // 2]],
+                                  rng.uniform(0.0, total, 6)])
+        ref = c.param_at_length(targets)
+        got = np.array([c.param_at_length(x) for x in targets.tolist()])
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
 def test_length_from_start_monotone():

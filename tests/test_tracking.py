@@ -9,6 +9,7 @@ from nurbsnav.geometry import NurbsCurve, clamped_uniform_knots
 from nurbsnav.tracking import (FieldGains, UavState, VehicleLimits,
                                heading_rate_command, step_dubins, vector_field,
                                wrap_angle)
+from test_geometry import four_point_project, random_heading_path, wiggly
 
 
 def segment(length=200.0) -> NurbsCurve:
@@ -60,6 +61,54 @@ def test_field_output_always_unit_norm():
         p = rng.uniform([-20.0, -60.0], [220.0, 60.0])
         direction, _ = vector_field(c, p, FieldGains(beta=0.1))
         assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_field(curve: NurbsCurve, p, gains: FieldGains, hint=None):
+    """vector_field in array operations: the reference projection, then
+    the point and tangent from `derivatives`."""
+    p = np.asarray(p, dtype=float)
+    s_star, dist = four_point_project(curve, p, hint)
+    c0, c1 = curve.derivatives(np.array([s_star]), order=1)
+    toward = c0[0] - p
+    t_norm = np.linalg.norm(c1[0])
+    if t_norm < 1e-12:
+        n = np.linalg.norm(toward)
+        return (toward / n if n > 0 else np.array([1.0, 0.0])), s_star
+    t_hat = c1[0] / t_norm
+    normal = toward - (toward @ t_hat) * t_hat
+    n_norm = np.linalg.norm(normal)
+    if n_norm < 1e-12 or dist < 1e-12:
+        return t_hat, s_star
+    g = (2.0 / math.pi) * math.atan(gains.beta * dist)
+    return g * normal / n_norm + math.sqrt(max(1.0 - g * g, 0.0)) * t_hat, s_star
+
+
+def test_field_matches_array_reference():
+    rng = np.random.default_rng(23)
+    gains = FieldGains(beta=0.3)
+    for c in [wiggly(), segment()] + [random_heading_path(rng) for _ in range(8)]:
+        lo, hi = c.control_points.min(axis=0), c.control_points.max(axis=0)
+        for _ in range(10):
+            p = rng.uniform(lo - 10.0, hi + 10.0)
+            hint = float(rng.uniform()) if rng.random() < 0.5 else None
+            ref, s_ref = reference_field(c, p, gains, hint)
+            direction, s_star = vector_field(c, p, gains, hint=hint)
+            assert abs(s_star - s_ref) <= 1e-12
+            assert np.max(np.abs(direction - ref)) <= 1e-12
+
+
+def test_field_degenerate_tangent_heads_for_foot():
+    # The tangent vanishes at s = 0, where both query points project.
+    c = NurbsCurve(degree=3, control_points=np.array(
+        [[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 10.0]]),
+        weights=np.ones(4), knots=clamped_uniform_knots(4, 3))
+    direction, s_star = vector_field(c, [-3.0, -4.0], FieldGains())
+    assert s_star == 0.0
+    assert np.allclose(direction, [0.6, 0.8], atol=1e-15)
+    assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-15)
+    direction, s_star = vector_field(c, [0.0, 0.0], FieldGains())
+    assert s_star == 0.0
+    assert np.array_equal(direction, [1.0, 0.0])
 
 
 def test_field_integration_converges_to_curve():
