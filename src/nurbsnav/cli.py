@@ -33,6 +33,11 @@ def _g9(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _seconds(x: float | None) -> str:
+    """A wall time for the summary line; n/a when no cycle returned a plan."""
+    return "n/a" if x is None else f"{x:.4f}s"
+
+
 def write_trajectory_csv(log, path: Path) -> None:
     rows = [CSV_HEADER]
     for i in range(len(log.times)):
@@ -164,7 +169,7 @@ def main(argv=None) -> int:
         write_metrics(metrics, out_dir / "metrics.json")
         wt = metrics["wall_time"]
         print(f"bench-replan: {metrics['replans']} cycles, "
-              f"median {wt['median']:.4f}s, p95 {wt['p95']:.4f}s")
+              f"median {_seconds(wt['median'])}, p95 {_seconds(wt['p95'])}")
         return EXIT_OK
 
     log = run_mission(scenario, seed=seed, disable_vo=args.disable_vo,

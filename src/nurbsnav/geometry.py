@@ -832,8 +832,8 @@ def _from_homogeneous(degree: int, hom: np.ndarray,
 
 
 def build_path_with_headings(start, goal, spec: HeadingSpec,
-                             n_interior: int, degree: int = 3) -> NurbsCurve:
-    """Path whose endpoint tangents match the requested headings.
+                             n_interior: int) -> NurbsCurve:
+    """Cubic path whose endpoint tangents match the requested headings.
 
     Three collinear points are appended to each endpoint along the heading
     direction at spacings j * lambda (j = 1, 2, 3); interior points are
@@ -861,11 +861,13 @@ def build_path_with_headings(start, goal, spec: HeadingSpec,
     pts.append(goal)
     pts = np.array(pts)
     n = pts.shape[0]
+    # movable_count's layout, n - 8 free points between the two end
+    # quadruples, is cubic-only.
     return NurbsCurve(
-        degree=degree,
+        degree=3,
         control_points=pts,
         weights=np.ones(n),
-        knots=clamped_uniform_knots(n, degree),
+        knots=clamped_uniform_knots(n, 3),
     )
 
 

@@ -13,12 +13,12 @@ violations `(n,)`), so a generation costs a fixed number of array
 operations whatever its size. Supports both a fixed evaluation budget
 (deterministic, ending at exactly the budget) and a wall-clock deadline
 checked between chunks of a generation's batch. The deadline is first
-checked after the probe chunk, the leading min(n_init, n_min, budget)
+checked after the probe chunk, the leading min(n_init, N_MIN, budget)
 rows of the initial population, so every run returns a best, and a warm
 start in the first row is always among the candidates it is chosen from.
 
-The memory size, p-best fraction and archive rate are the L-SHADE
-settings of Tanabe & Fukunaga (CEC 2014).
+The memory size, p-best fraction, archive rate and final population size
+are the L-SHADE settings of Tanabe & Fukunaga (CEC 2014).
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ import numpy as np
 MEMORY_SIZE = 6  # success-memory slots
 P_BEST = 0.11  # share of the population that pbest is drawn from
 ARCHIVE_RATE = 1.4  # archive capacity over the population size
+# Final population size, the smallest current-to-pbest/1 can draw its
+# distinct target, r1 and r2 rows and a pbest donor from.
+N_MIN = 4
 
 
 @dataclass
@@ -113,7 +116,6 @@ class SuccessMemory:
 class OptimizerConfig:
     budget: int
     n_init: int = None  # defaults to 18 * dimension
-    n_min: int = 4
     deadline: float = None  # wall seconds, None = budget only
     seed: int = 0
 
@@ -122,8 +124,6 @@ class OptimizerConfig:
             raise ValueError("evaluation budget must be positive")
         if self.deadline is not None and self.deadline <= 0.0:
             raise ValueError("deadline must be positive when given")
-        if self.n_min < 4:
-            raise ValueError("minimum population size is 4")
 
 
 @dataclass
@@ -197,8 +197,8 @@ def draw_donors(targets: np.ndarray, n: int, n_archive: int, order: np.ndarray,
     rows (mod n), and r2 is drawn from the n + n_archive - 2 allowed rows
     and stepped past the two excluded ones in ascending order.
     """
-    if n < 4:
-        raise ValueError("population must hold at least four individuals")
+    if n < N_MIN:
+        raise ValueError(f"population must hold at least {N_MIN} individuals")
     n_top = max(2, int(round(p_best * n)))
     u = rng.random((3, targets.size))
     pbest = order[_uniform_ints(u[0], n_top)]
@@ -256,7 +256,7 @@ def adapt(f_scale: np.ndarray, cr: np.ndarray, gain: np.ndarray,
         memory.m_cr[memory.index] = (w * cr).sum()
         memory.index = (memory.index + 1) % memory.size
     frac = min(eval_count / config.budget, 1.0)
-    return max(config.n_min, int(round(n_init - frac * (n_init - config.n_min))))
+    return max(N_MIN, int(round(n_init - frac * (n_init - N_MIN))))
 
 
 def optimize(problem: ProblemDef, config: OptimizerConfig,
@@ -265,7 +265,7 @@ def optimize(problem: ProblemDef, config: OptimizerConfig,
 
     Deterministic for a fixed seed when no deadline is set; the last
     generation is cut short so that exactly `budget` candidates are
-    evaluated. With a deadline, the probe chunk of min(n_init, n_min,
+    evaluated. With a deadline, the probe chunk of min(n_init, N_MIN,
     budget) candidates is always evaluated; after it, each batch is
     evaluated in chunks sized from the measured cost per candidate so that
     a chunk started before the deadline overruns it by about one
@@ -277,20 +277,20 @@ def optimize(problem: ProblemDef, config: OptimizerConfig,
     dim = problem.dimension
     lower, upper = problem.lower, problem.upper
     n_init = config.n_init if config.n_init is not None else 18 * dim
-    n_init = max(n_init, config.n_min)
+    n_init = max(n_init, N_MIN)
     stats = OptimizerStats()
     deadline = None if config.deadline is None else start + config.deadline
     per_candidate = None  # measured wall seconds per candidate
 
     def chunk_size(wanted: int) -> int:
         """Candidates to evaluate next: all of them without a deadline;
-        otherwise a probe of n_min first, whatever the clock says, then as
+        otherwise a probe of N_MIN first, whatever the clock says, then as
         many as half the time left is expected to cover (at least one);
         zero past the deadline."""
         if deadline is None:
             return wanted
         if per_candidate is None:
-            return min(wanted, config.n_min)
+            return min(wanted, N_MIN)
         left = deadline - time.perf_counter()
         if left <= 0.0:
             return 0

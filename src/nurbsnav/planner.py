@@ -58,10 +58,9 @@ class PlannerConfig:
     disable_curvature: bool = False
     optimizer: OptimizerConfig = field(
         default_factory=lambda: OptimizerConfig(budget=512, n_init=40))
-    # The fixed sampling densities, read-only, for callers that size their
-    # own checks by them.
+    # The fixed curvature-grid density, read-only, for callers that size
+    # their own checks by it.
     n_curv_samples = property(lambda self: N_CURV_SAMPLES)
-    n_vo_samples = property(lambda self: N_VO_SAMPLES)
 
     def __post_init__(self):
         if self.t_replan <= 0.0:
@@ -320,10 +319,15 @@ class _CycleKernel:
 
 
 def _align_delta(old: np.ndarray, new_dim: int) -> np.ndarray:
-    """Map a previous cycle's delta onto a (possibly shrunk) layout.
+    """Momentum start: the previous cycle's delta, mapped onto the cut's
+    (possibly shrunk) layout, to be applied again.
 
+    The cut is taken from the flown plan, so its points and weights already
+    carry that displacement; applying it once more steps as far again in
+    the same direction. (Applying it "once" would give neutral_delta(cut).)
     Points are consumed from the front of the path, so blocks align on
-    their trailing entries; new leading entries start at zero.
+    their trailing entries; new leading entries start at zero. The spacing
+    factors are absolute, not displacements, and carry over as they are.
     """
     n_old = (old.size - 2) // 3
     n_new = (new_dim - 2) // 3
@@ -399,22 +403,17 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
 
 
 def mission_loop(waypoints: list, world: World, config: PlannerConfig,
-                 seed: int, uav0: UavState | None = None,
-                 dt_sim: float | None = None,
-                 max_steps: int = 20000) -> SimLog:
-    """Fly the waypoint sequence: track with the vector field at the
-    simulation rate, replan every t_replan, stop on success, collision or
-    the step cap."""
+                 seed: int, uav0: UavState, dt_sim: float,
+                 max_steps: int) -> SimLog:
+    """Fly the waypoint sequence from uav0: track with the vector field
+    every dt_sim seconds, replan every t_replan, stop on success, collision
+    or after max_steps simulation steps."""
     if len(waypoints) < 2:
         raise ValueError("a mission needs at least two waypoints")
-    dt = dt_sim if dt_sim is not None else config.t_replan / 10.0
-    steps_per_replan = max(1, int(round(config.t_replan / dt)))
+    steps_per_replan = max(1, int(round(config.t_replan / dt_sim)))
     limits = VehicleLimits(config.kappa_max)
     gains = config.gains
 
-    if uav0 is None:
-        uav0 = UavState(position=np.array(waypoints[0].position),
-                        heading=waypoints[0].heading, speed=15.0)
     state = uav0
     log = SimLog()
     log.times.append(world.clock)
@@ -489,9 +488,9 @@ def mission_loop(waypoints: list, world: World, config: PlannerConfig,
             direction, s_anchor = vector_field(active, state.position, gains,
                                                hint=anchor_hint)
             anchor_hint = s_anchor
-            u = heading_rate_command(state, direction, limits, gains)
-            state = step_dubins(state, u, dt, limits)
-            world.step(dt)
+            u = heading_rate_command(state, direction, limits)
+            state = step_dubins(state, u, dt_sim, limits)
+            world.step(dt_sim)
 
             log.times.append(world.clock)
             log.positions.append(np.array(state.position))

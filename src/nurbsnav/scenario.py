@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lshade import OptimizerConfig
 from .planner import PlannerConfig, Waypoint, mission_loop
 from .tracking import UavState
 from .world import DynamicObstacle, SimLog, StaticObstacle, World
@@ -43,6 +42,13 @@ def _positive(value, context: str) -> float:
     return out
 
 
+def _non_negative(value, context: str) -> float:
+    out = _number(value, context)
+    if out < 0.0:
+        raise ScenarioError(f"{context}: must be non-negative, got {value!r}")
+    return out
+
+
 def _integer(value, context: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not float(value).is_integer():
@@ -50,6 +56,10 @@ def _integer(value, context: str, minimum: int) -> int:
     if value < minimum:
         raise ScenarioError(f"{context}: must be at least {minimum}, got {value!r}")
     return int(value)
+
+
+def _at_least(minimum: int):
+    return lambda value, context: _integer(value, context, minimum)
 
 
 def _boolean(value, context: str) -> bool:
@@ -76,6 +86,23 @@ def _point(value, context: str) -> np.ndarray:
     return np.array([_number(v, context) for v in value])
 
 
+# Optional keys: file key -> (field it sets, validator). A key the file
+# leaves out is not passed, so the field keeps its class default.
+_PLANNER_KEYS = {"T_s": ("t_replan", _number), "tau": ("tau", _number),
+                 "n_interior": ("n_interior", _at_least(1)),
+                 "waypoint_tolerance": ("waypoint_tolerance", _positive),
+                 "budget_mode": ("budget_mode", _boolean)}
+_OPTIMIZER_KEYS = {"budget": ("budget", _at_least(1)),
+                   "n_init": ("n_init", _at_least(1))}
+_SIM_KEYS = {"dt": ("dt_sim", _positive), "max_steps": ("max_steps", _at_least(1))}
+
+
+def _given(data: dict, keys: dict, context: str) -> dict:
+    """Validated values of the optional keys that `data` sets, by field."""
+    return {name: check(data[key], f"{context}.{key}")
+            for key, (name, check) in keys.items() if key in data}
+
+
 @dataclass
 class Scenario:
     uav_start: np.ndarray
@@ -85,10 +112,14 @@ class Scenario:
     statics: list
     dynamics: list
     planner: PlannerConfig
-    seed: int
-    dt_sim: float
-    max_steps: int
-    name: str = "scenario"
+    name: str
+    seed: int = 0
+    dt_sim: float = None  # simulation step, s; a tenth of t_replan if None
+    max_steps: int = 20000  # simulation step cap
+
+    def __post_init__(self):
+        if self.dt_sim is None:
+            self.dt_sim = self.planner.t_replan / 10.0
 
     def make_world(self) -> World:
         return World(statics=list(self.statics), dynamics=list(self.dynamics))
@@ -112,9 +143,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     kappa_max = _positive(_require(uav, "kappa_max", "uav"), "uav.kappa_max")
     r_safe = _positive(_require(uav, "r_safe", "uav"), "uav.r_safe")
     r_view = _positive(_require(uav, "r_view", "uav"), "uav.r_view")
-    r_u = _number(uav.get("r_u", 0.0), "uav.r_u")
-    if r_u < 0.0:
-        raise ScenarioError(f"uav.r_u: must be non-negative, got {r_u!r}")
+    own_radius = _given(uav, {"r_u": ("r_u", _non_negative)}, "uav")
 
     wps_raw = _list(_require(data, "waypoints", "scenario"), "waypoints")
     if not wps_raw:
@@ -142,7 +171,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         statics.append(StaticObstacle(
             center=_point(_require(s, "center", ctx), f"{ctx}.center"),
             radius=_positive(_require(s, "radius", ctx), f"{ctx}.radius"),
-            known=_boolean(s.get("known", True), f"{ctx}.known")))
+            **_given(s, {"known": ("known", _boolean)}, ctx)))
 
     dynamics = []
     for i, d in enumerate(_list(data.get("dynamic_obstacles", []),
@@ -153,43 +182,28 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
             position0=_point(_require(d, "pos", ctx), f"{ctx}.pos"),
             velocity=_point(_require(d, "vel", ctx), f"{ctx}.vel"),
             radius=_positive(_require(d, "radius", ctx), f"{ctx}.radius"),
-            spawn_time=_number(d.get("spawn_time", 0.0), f"{ctx}.spawn_time")))
+            **_given(d, {"spawn_time": ("spawn_time", _number)}, ctx)))
 
+    # PlannerConfig holds every planner default, its optimizer's included;
+    # keys a file leaves out keep them. Other keys, such as the p_best and
+    # n_min of older files, are ignored.
     pl = _object(data.get("planner", {}), "planner")
+    optimizer = _given(pl, _OPTIMIZER_KEYS, "planner")
+    settings = _given(pl, _PLANNER_KEYS, "planner")
+    base = PlannerConfig()
     try:
-        opt = OptimizerConfig(
-            budget=_integer(pl.get("budget", 512), "planner.budget", 1),
-            n_init=_integer(pl.get("n_init", 40), "planner.n_init", 1),
-            n_min=_integer(pl.get("n_min", 4), "planner.n_min", 4),
-        )
-        planner = PlannerConfig(
-            t_replan=_number(pl.get("T_s", 0.1), "planner.T_s"),
-            tau=_number(pl.get("tau", 3.0), "planner.tau"),
-            kappa_max=kappa_max,
-            r_u=r_u,
-            r_safe=r_safe,
-            r_view=r_view,
-            n_interior=_integer(pl.get("n_interior", 8), "planner.n_interior", 1),
-            waypoint_tolerance=_positive(pl.get("waypoint_tolerance", 3.0),
-                                         "planner.waypoint_tolerance"),
-            budget_mode=_boolean(pl.get("budget_mode", False),
-                                 "planner.budget_mode"),
-            optimizer=opt,
-        )
-    except ScenarioError:
-        raise
+        planner = replace(base, kappa_max=kappa_max, r_safe=r_safe,
+                          r_view=r_view, **own_radius, **settings,
+                          optimizer=replace(base.optimizer, **optimizer))
     except ValueError as exc:
         raise ScenarioError(f"planner: {exc}") from exc
 
     sim = _object(data.get("sim", {}), "sim")
-    dt_sim = _positive(sim.get("dt", planner.t_replan / 10.0), "sim.dt")
-    max_steps = _integer(sim.get("max_steps", 20000), "sim.max_steps", 1)
-
     return Scenario(uav_start=start, uav_heading=heading, uav_speed=speed,
                     waypoints=waypoints, statics=statics, dynamics=dynamics,
-                    planner=planner,
-                    seed=_integer(pl.get("seed", 0), "planner.seed", 0),
-                    dt_sim=dt_sim, max_steps=max_steps, name=name)
+                    planner=planner, name=name,
+                    **_given(pl, {"seed": ("seed", _at_least(0))}, "planner"),
+                    **_given(sim, _SIM_KEYS, "sim"))
 
 
 def load_scenario(path) -> Scenario:

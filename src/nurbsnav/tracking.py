@@ -15,6 +15,8 @@ import numpy as np
 
 from .geometry import NurbsCurve
 
+K_HEADING = 2.0  # heading-rate gain on the heading error, 1/s
+
 
 def wrap_angle(a: float) -> float:
     """Wrap an angle into (-pi, pi]."""
@@ -61,10 +63,9 @@ class VehicleLimits:
 @dataclass(frozen=True)
 class FieldGains:
     beta: float = 1.0  # convergence sharpness, 1/m
-    k_heading: float = 2.0  # heading-rate gain, 1/s
 
     def __post_init__(self):
-        if self.beta <= 0.0 or self.k_heading <= 0.0:
+        if self.beta <= 0.0:
             raise ValueError("field gains must be positive")
 
 
@@ -99,13 +100,13 @@ def vector_field(curve: NurbsCurve, p, gains: FieldGains,
                      g * (ny / n_norm) + h * ty]), s_star
 
 
-def heading_rate_command(state: UavState, desired_dir, limits: VehicleLimits,
-                         gains: FieldGains) -> float:
+def heading_rate_command(state: UavState, desired_dir,
+                         limits: VehicleLimits) -> float:
     """Proportional heading-rate command, clamped to the turn limit."""
     desired_dir = np.asarray(desired_dir, dtype=float)
     err = wrap_angle(math.atan2(desired_dir[1], desired_dir[0]) - state.heading)
     u_max = limits.u_max(state.speed)
-    return float(np.clip(gains.k_heading * err, -u_max, u_max))
+    return float(np.clip(K_HEADING * err, -u_max, u_max))
 
 
 def step_dubins(state: UavState, u: float, dt: float,

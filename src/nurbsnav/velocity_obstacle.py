@@ -140,11 +140,12 @@ def in_truncated_vo(v_u, p_u, obs: ObstacleState, r_u: float,
 
 
 def path_vo_violation(curve: NurbsCurve, speed: float, obstacles,
-                      r_u: float, tau: float, n_samples: int = 20) -> float:
+                      r_u: float, tau: float, n_samples: int) -> float:
     """Total truncated-VO violation depth along the first speed * tau
     metres of the path (all of it, when shorter).
 
-    Samples are uniform in arc length; each sample j is an agent state at
+    The n_samples samples (planner.N_VO_SAMPLES in constraint_violations)
+    are uniform in arc length; each sample j is an agent state at
     time t_j = arclen_j / speed, checked against every obstacle propagated
     to t_j with the horizon shrunk to tau - t_j. Zero iff the sampled
     constraint holds.

@@ -225,6 +225,22 @@ def test_bench_replan_mode(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+def test_bench_replan_without_plans_reports_na(tmp_path, capsys):
+    # At 2000 m/s every cut lands past the end of a 1 m leg, so no cycle
+    # returns a plan: the wall times are null and the summary says n/a.
+    data = tiny_scenario(waypoints=[{"pos": [1.0, 0.0], "heading": 0.0}])
+    data["uav"]["speed"] = 2000.0
+    path = write_scenario(tmp_path, data)
+    out = tmp_path / "bench"
+    code = main(["--scenario", str(path), "--mode", "bench-replan",
+                 "--replans", "3", "--out", str(out)])
+    assert code == EXIT_OK
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["replans"] == 0
+    assert metrics["wall_time"] == {"median": None, "p95": None, "max": None}
+    assert "0 cycles, median n/a, p95 n/a" in capsys.readouterr().out
+
+
 def test_repeat_runs_byte_identical(tmp_path):
     path = write_scenario(tmp_path, tiny_scenario())
     blobs = []

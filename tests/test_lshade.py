@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from nurbsnav.lshade import (Individual, OptimizerConfig, ProblemDef,
+from nurbsnav.lshade import (N_MIN, Individual, OptimizerConfig, ProblemDef,
                              SuccessMemory, adapt, draw_donors,
                              draw_parameters, make_trials, optimize, rank,
                              select, update_archive)
@@ -70,7 +70,7 @@ NONE = np.empty(0)
 
 
 def test_linear_population_reduction():
-    config = OptimizerConfig(budget=1000, n_min=4)
+    config = OptimizerConfig(budget=1000)
     memory = SuccessMemory(size=6)
     assert adapt(NONE, NONE, NONE, memory, 500, config, 100) == 52
 
@@ -225,12 +225,12 @@ def test_population_never_drops_below_minimum():
     problem = ProblemDef(dimension=3, lower=np.full(3, -5.0),
                          upper=np.full(3, 5.0), batch=batch)
     _, stats = optimize(problem, OptimizerConfig(budget=3000, n_init=30,
-                                                 n_min=6, seed=0))
+                                                 seed=0))
     # One batch per generation: its size is the population size, except
     # the last, which the budget cuts.
     assert sizes[0] == 30 and sum(sizes) == 3000
     assert len(sizes) == stats.generations + 1
-    assert min(sizes[:-1]) == 6
+    assert min(sizes[:-1]) == N_MIN
     assert all(a >= b for a, b in zip(sizes[:-1], sizes[1:-1]))
 
 
@@ -336,7 +336,7 @@ def test_stats_report_the_first_row():
 
 def test_tiny_deadline_evaluates_the_probe_chunk():
     # The deadline is first checked after the probe chunk, the leading
-    # min(n_init, n_min, budget) rows, so a run always returns a best: here
+    # min(n_init, N_MIN, budget) rows, so a run always returns a best: here
     # the warm start, the best of its chunk.
     chunks = []
 
@@ -347,11 +347,11 @@ def test_tiny_deadline_evaluates_the_probe_chunk():
     problem = ProblemDef(dimension=5, lower=np.full(5, -5.0),
                          upper=np.full(5, 5.0), batch=batch)
     warm = np.zeros(5)
-    for n_init, n_min, budget, probe in ((None, 4, 100, 4), (40, 7, 100, 7),
-                                         (5, 4, 100, 4), (40, 4, 2, 2)):
+    for n_init, budget, probe in ((None, 100, N_MIN), (40, 100, N_MIN),
+                                  (5, 100, N_MIN), (40, 2, 2)):
         chunks.clear()
         best, stats = optimize(problem, OptimizerConfig(
-            budget=budget, n_init=n_init, n_min=n_min, deadline=1e-12,
+            budget=budget, n_init=n_init, deadline=1e-12,
             seed=0), warm_start=warm)
         assert chunks == [probe]
         assert stats.evaluations == probe and stats.generations == 0
@@ -363,8 +363,6 @@ def test_config_validation():
         OptimizerConfig(budget=0)
     with pytest.raises(ValueError):
         OptimizerConfig(budget=10, deadline=-1.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(budget=10, n_min=3)
     with pytest.raises(ValueError):
         ProblemDef(dimension=2, lower=np.array([0.0, 0.0]),
                    upper=np.array([0.0, 1.0]), objective=lambda x: 0.0)

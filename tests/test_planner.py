@@ -4,6 +4,7 @@ single replan cycles, the mission loop, and scenario parsing."""
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -382,7 +383,7 @@ def test_stalled_deadline_cycle_flies_the_cut(monkeypatch):
     cut, _ = cut_path_at_projection(curve, state, config.t_replan)
     for seed in range(3):
         result = replan_cycle(curve, state, [], config, seed=seed)
-        assert 1 <= result.evals <= config.optimizer.n_min
+        assert 1 <= result.evals <= lshade.N_MIN
         assert np.array_equal(result.curve.control_points, cut.control_points)
         assert np.array_equal(result.curve.weights, cut.weights)
         assert result.feasible
@@ -396,13 +397,15 @@ def test_stalled_deadline_mission_reaches_goal_without_leg_reset(monkeypatch):
     config = fast_config(budget_mode=False)
     w0 = Waypoint(position=np.array([0.0, 0.0]), heading=0.4)
     w1 = Waypoint(position=np.array([100.0, 0.0]), heading=0.0)
-    log = mission_loop([w0, w1], World(), config, seed=0, max_steps=3000)
+    log = mission_loop([w0, w1], World(), config, seed=0,
+                       uav0=UavState(w0.position, w0.heading, 15.0),
+                       dt_sim=0.01, max_steps=3000)
     assert log.success
     assert not log.collisions
     assert len(log.curves) == len(log.replans)
     # Searched cycles evaluate only the probe chunk; the leg's last cycles
     # have no movable points left and search nothing.
-    assert {r["evals"] for r in log.replans} == {0, config.optimizer.n_min}
+    assert {r["evals"] for r in log.replans} == {0, lshade.N_MIN}
 
 
 def test_disable_curvature_drops_the_curvature_family():
@@ -435,7 +438,9 @@ def test_mission_loop_reaches_goal():
     config = fast_config(waypoint_tolerance=3.0,
                          optimizer=OptimizerConfig(budget=96, n_init=24))
     w0, w1 = straight_mission(100.0)
-    log = mission_loop([w0, w1], World(), config, seed=0, dt_sim=0.01)
+    log = mission_loop([w0, w1], World(), config, seed=0,
+                       uav0=UavState(w0.position, w0.heading, 15.0),
+                       dt_sim=0.01, max_steps=20000)
     assert log.success
     assert not log.collisions
     final = np.asarray(log.positions[-1])
@@ -448,7 +453,9 @@ def test_mission_loop_reaches_goal():
 def test_mission_loop_needs_two_waypoints():
     w0, _ = straight_mission()
     with pytest.raises(ValueError):
-        mission_loop([w0], World(), fast_config(), seed=0)
+        mission_loop([w0], World(), fast_config(), seed=0,
+                     uav0=UavState(w0.position, w0.heading, 15.0),
+                     dt_sim=0.01, max_steps=20000)
 
 
 # -- scenario parsing ------------------------------------------------------
@@ -465,6 +472,33 @@ def test_parse_minimal_scenario():
     scenario = parse_scenario(minimal_scenario())
     assert scenario.uav_speed == 15.0
     assert len(scenario.waypoints) == 1
+
+
+def test_minimal_scenario_takes_each_default_from_its_home():
+    # Only uav and waypoints: every planner setting comes from
+    # PlannerConfig(), the seed, step and step cap from Scenario.
+    scenario = parse_scenario(minimal_scenario())
+    assert scenario.planner == replace(PlannerConfig(), kappa_max=0.05,
+                                       r_safe=2.0, r_view=80.0)
+    opt = scenario.planner.optimizer
+    assert (opt.budget, opt.n_init) == (512, 40)
+    assert scenario.seed == 0
+    assert scenario.dt_sim == scenario.planner.t_replan / 10.0
+    assert scenario.max_steps == 20000
+    # A key the file sets replaces that field only.
+    data = minimal_scenario()
+    data["planner"] = {"budget": 96}
+    opt = parse_scenario(data).planner.optimizer
+    assert (opt.budget, opt.n_init) == (96, 40)
+
+
+def test_constant_optimizer_keys_are_ignored():
+    # n_min and p_best are LSHADE constants: a file that still sets them,
+    # even to values once rejected, parses as one that does not.
+    data = minimal_scenario()
+    data["planner"] = {"n_min": 3, "p_best": 2.5}
+    assert parse_scenario(data).planner == \
+        parse_scenario(minimal_scenario()).planner
 
 
 def test_parse_reports_missing_fields():

@@ -135,22 +135,22 @@ def test_field_integration_converges_to_curve():
 def test_command_zero_when_aligned():
     state = UavState(position=np.zeros(2), heading=0.3, speed=10.0)
     d = np.array([math.cos(0.3), math.sin(0.3)])
-    u = heading_rate_command(state, d, VehicleLimits(0.05), FieldGains())
+    u = heading_rate_command(state, d, VehicleLimits(0.05))
     assert abs(u) <= 1e-12
 
 
 def test_command_clamped_at_turn_limit():
     state = UavState(position=np.zeros(2), heading=0.0, speed=10.0)
     limits = VehicleLimits(0.05)  # u_max = 0.5 < k_h * pi/2
-    u = heading_rate_command(state, [0.0, 1.0], limits, FieldGains())
+    u = heading_rate_command(state, [0.0, 1.0], limits)
     assert u == limits.u_max(10.0)
 
 
 def test_command_sign_follows_error():
     state = UavState(position=np.zeros(2), heading=0.0, speed=10.0)
     limits = VehicleLimits(0.05)
-    up = heading_rate_command(state, [1.0, 0.2], limits, FieldGains())
-    down = heading_rate_command(state, [1.0, -0.2], limits, FieldGains())
+    up = heading_rate_command(state, [1.0, 0.2], limits)
+    down = heading_rate_command(state, [1.0, -0.2], limits)
     assert up > 0.0 > down
     assert up == pytest.approx(-down)
 

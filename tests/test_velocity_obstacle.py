@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nurbsnav.geometry import NurbsCurve
+from nurbsnav.planner import N_VO_SAMPLES
 from nurbsnav.velocity_obstacle import (ObstacleState, in_truncated_vo,
                                         obstacle_arrays, path_vo_violation,
                                         time_to_collision, vo_depth)
@@ -155,12 +156,14 @@ def test_vo_depth_edge_cases():
 # -- path constraint ------------------------------------------------------
 
 def test_path_violation_empty_is_zero():
-    assert path_vo_violation(straight_path(), 10.0, [], 1.0, 3.0) == 0.0
+    assert path_vo_violation(straight_path(), 10.0, [], 1.0, 3.0,
+                             n_samples=N_VO_SAMPLES) == 0.0
 
 
 def test_path_violation_blocking_obstacle():
     obs = ObstacleState(position=[15.0, 0.0], velocity=[0.0, 0.0], radius=3.0)
-    v = path_vo_violation(straight_path(), 10.0, [obs], r_u=2.0, tau=3.0)
+    v = path_vo_violation(straight_path(), 10.0, [obs], r_u=2.0, tau=3.0,
+                          n_samples=N_VO_SAMPLES)
     assert v > 0.0
 
 
