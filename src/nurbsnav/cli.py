@@ -110,13 +110,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= minimum:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {minimum}, got {text!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Online NURBS replanning missions for Dubins vehicles")
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
+    # numpy's generators take no negative seed.
+    parser.add_argument("--seed", type=_int_at_least(0), default=None,
                         help="override the scenario seed")
     parser.add_argument("--mode", default="mission",
                         choices=["mission", "bench-replan", "validate"])
@@ -135,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="drop the curvature constraint")
     parser.add_argument("--plot", action="store_true",
                         help="also write plot.svg")
-    parser.add_argument("--replans", type=_positive_int, default=50,
+    parser.add_argument("--replans", type=_int_at_least(1), default=50,
                         help="replan cycles in bench-replan mode")
     return parser
 

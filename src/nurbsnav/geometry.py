@@ -6,17 +6,15 @@ projection, and the heading-constrained path constructor used by the
 planner. Curves are immutable after construction, so every operation here
 is a pure function and safe to call concurrently.
 
-Curves are evaluated in two forms, both cached per knot vector.
-`basis_matrices` tabulates the Cox-de Boor basis at given parameters; the
-planner uses it on the grids that every candidate of a cycle shares (the
-arc-length Gauss nodes and the curvature grid), where one matrix product
-per batch is the cheapest form. Every other query, a curve's own points
-and derivatives and the candidates' VO samples, uses the piecewise Bezier
-form of `piece_map`: per piece, the Bernstein coefficients of the curve
-and of its first two derivatives, so a query is a piece lookup and one
-Bernstein evaluation. That evaluation has two implementations on the
-same coefficients: numpy arrays for many parameters at once
-(`piece_derivatives`, `NurbsCurve._derivs`), and Python floats for one
+Curves are evaluated in one form, the piecewise Bezier form of
+`piece_map`, cached per knot vector: per piece, the Bernstein coefficients
+of the curve and of its first two derivatives, so a query is a piece
+lookup (`locate_piece`) and one Bernstein evaluation. Cox-de Boor
+(`basis_matrices`) is read only at the piece ends, to build that table.
+The evaluation has two implementations on the same coefficients: numpy
+arrays for many parameters at once (`piece_derivatives`,
+`NurbsCurve._derivs`, and `piece_basis`, which the planner uses to read
+the basis every candidate of a cycle shares), and Python floats for one
 parameter (`NurbsCurve._derivs_at`), which the projection's Newton steps,
 the tracker and the scalar arc-length queries use because numpy's
 per-call cost would dominate a single point.
@@ -76,18 +74,23 @@ def validate_knots(knots: np.ndarray, degree: int) -> None:
             raise ValueError("interior knot multiplicity exceeds the degree")
 
 
-@lru_cache(maxsize=64)
-def _knot_coefs(knots_bytes: bytes, degree: int):
-    """Precomputed per-level Cox-de Boor coefficients for one knot vector.
+def basis_matrices(knots: np.ndarray, degree: int, s: np.ndarray,
+                   order: int, span: np.ndarray) -> list:
+    """Cox-de Boor basis matrices [B, B', B'', ...][: order + 1] at the
+    parameters s, each on its given knot span, for order <= degree.
 
-    Empty spans get a zero reciprocal so the 0/0 convention needs no
-    branching at evaluation time. Shared across every curve with the same
-    knots (all candidates of a replan cycle). Level j's coefficients depend
-    on j and the knots only, so one entry serves every lower degree too.
+    Each has shape (len(s), n_points), so B @ H gives the homogeneous
+    curve (or its derivative) for homogeneous control points H. The
+    degree-0 table is the indicator of `span` (Piegl & Tiller, The NURBS
+    Book, A2.1), so a span's polynomials hold on its closed interval and
+    its right end gives their left limits. Empty knot spans get a zero
+    reciprocal, so the 0/0 convention needs no branching. `_piece_map`
+    reads these at piece ends; curves are evaluated from its table.
     """
-    t = np.frombuffer(knots_bytes, dtype=float)
-    nf = t.shape[0] - 1
-    last = int(np.max(np.nonzero(t[:-1] < t[1:])[0]))
+    t = knots
+    nf = t.size - 1
+    col = s[:, None]
+    tables = [(span[:, None] == np.arange(nf)).astype(float)]
     levels = []
     for j in range(1, degree + 1):
         m = nf - j
@@ -95,68 +98,18 @@ def _knot_coefs(knots_bytes: bytes, degree: int):
         d2 = t[j + 1: j + 1 + m] - t[1: 1 + m]
         inv1 = np.where(d1 > 0.0, 1.0 / np.where(d1 > 0.0, d1, 1.0), 0.0)
         inv2 = np.where(d2 > 0.0, 1.0 / np.where(d2 > 0.0, d2, 1.0), 0.0)
-        levels.append((t[:m], t[j + 1: j + 1 + m], inv1, inv2))
-    return t, last, np.arange(nf), levels
-
-
-def _basis_tables(coefs, s: np.ndarray, span=None) -> list[np.ndarray]:
-    """B-spline basis values by Cox-de Boor, for all degrees 0..degree.
-
-    tables[j] has shape (len(s), len(knots) - 1 - j). The degree-0 table
-    is the indicator of the span index t[i] <= s < t[i + 1] found by
-    binary search (Piegl & Tiller, The NURBS Book, A2.1); searching to the
-    right of repeated knots never lands in an empty span. The domain end
-    s = 1 is assigned to the last non-empty span so clamped curves
-    interpolate their final control point; s below the domain (or NaN)
-    gets an all-zero row. A given `span` replaces the search: the span's
-    polynomials then hold on its closed interval, so a span's right end
-    gives its left limits.
-    """
-    t, last, cols, levels = coefs
-    if span is None:
-        span = np.where(s >= t[-1], last, np.searchsorted(t, s, side="right") - 1)
-    tables = [(span[:, None] == cols).astype(float)]
-    col = s[:, None]
-    for t0, t1, inv1, inv2 in levels:
         prev = tables[-1]
-        m = t0.shape[0]
-        tables.append(((col - t0) * inv1) * prev[:, :m]
-                      + ((t1 - col) * inv2) * prev[:, 1: 1 + m])
-    return tables
-
-
-def _basis_diff(prev: np.ndarray, levels, degree: int) -> np.ndarray:
-    """Derivative of the degree-`degree` basis given the degree-1-lower table.
-
-    `prev` may itself be a derivative table, in which case the result is the
-    next-higher derivative.
-    """
-    _, _, inv1, inv2 = levels[degree - 1]
-    m = inv1.shape[0]
-    return degree * (prev[:, :m] * inv1 - prev[:, 1: 1 + m] * inv2)
-
-
-def basis_matrices(knots: np.ndarray, degree: int, s: np.ndarray,
-                   order: int = 2, span=None) -> list:
-    """Basis matrices [B, B', B'', ...][: order + 1] at the parameters s.
-
-    Each has shape (len(s), n_points), so B @ H gives the homogeneous
-    curve (or its derivative) for homogeneous control points H.
-    Derivatives above the degree (B'' of a degree-1 curve) are None.
-    `span` optionally fixes the knot span of each parameter (see
-    _basis_tables).
-    """
-    coefs = _knot_coefs(knots.tobytes(), degree)
-    levels = coefs[3]
-    tables = _basis_tables(coefs, s, span)
+        tables.append(((col - t[:m]) * inv1) * prev[:, :m]
+                      + ((t[j + 1: j + 1 + m] - col) * inv2) * prev[:, 1: 1 + m])
+        levels.append((inv1, inv2))
     out = []
     for k in range(order + 1):
-        if k > degree:
-            out.append(None)
-            continue
+        # Differentiate the degree-(p - k) table k times, one degree up each.
         b = tables[degree - k]
         for d in range(degree - k + 1, degree + 1):
-            b = _basis_diff(b, levels, d)
+            inv1, inv2 = levels[d - 1]
+            m = inv1.shape[0]
+            b = d * (b[:, :m] * inv1 - b[:, 1: 1 + m] * inv2)
         out.append(b)
     return out
 
@@ -354,6 +307,27 @@ def piece_derivatives(coef: np.ndarray, t: np.ndarray, degree: int,
     return [sums[..., k] for k in range(n_ord)] + [None] * (order + 1 - n_ord)
 
 
+def locate_piece(edges: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Piece index and local parameter of each checked parameter s: a
+    binary search to the right of equal edges, with s = 1 on the last
+    piece."""
+    idx = np.minimum(np.searchsorted(edges, s, side="right") - 1, edges.size - 2)
+    a = edges[idx]
+    return idx, (s - a) / (edges[idx + 1] - a)
+
+
+def piece_basis(knots: np.ndarray, degree: int, s: np.ndarray,
+                order: int) -> list:
+    """Basis matrices [B, B', B''][: order + 1] at checked parameters s,
+    each of shape (len(s), n_points), read from the `_piece_map` table:
+    the Bernstein evaluation of `piece_derivatives` with every control
+    point's coefficients in place of a curve's."""
+    edges, table = piece_map(knots, degree)
+    idx, t = locate_piece(edges, s)
+    return piece_derivatives(table[idx].transpose(0, 2, 1), t[:, None],
+                             degree, order)
+
+
 @dataclass(frozen=True)
 class HeadingSpec:
     """Endpoint headings plus the collinear-point spacing factors."""
@@ -411,10 +385,7 @@ class NurbsCurve:
         binary search, then one Bernstein evaluation on the cached
         coefficients of that piece."""
         edges, coef = self._pieces
-        idx = np.minimum(np.searchsorted(edges, s_arr, side="right") - 1,
-                         edges.size - 2)
-        a = edges[idx]
-        t = (s_arr - a) / (edges[idx + 1] - a)
+        idx, t = locate_piece(edges, s_arr)
         return rational_derivatives(
             piece_derivatives(coef[:, idx], t, self.degree, order))
 
@@ -435,7 +406,7 @@ class NurbsCurve:
         return edges.tolist(), coef.transpose(1, 0, 2).tolist()
 
     def _piece_at(self, s: float) -> int:
-        """Index of the piece holding s, as in `_derivs`."""
+        """Index of the piece holding s, as in `locate_piece`."""
         edges = self._piece_lists[0]
         return min(bisect_right(edges, s), len(edges) - 1) - 1
 

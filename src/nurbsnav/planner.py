@@ -223,13 +223,14 @@ class _CycleKernel:
     """Objective and constraint violations for a batch of candidates.
 
     Built once per replan cycle on the cut path. apply_delta keeps the knot
-    vector, so every candidate of the cycle shares one B-spline basis: its
-    values and derivatives are tabulated here at the arc-length Gauss nodes
-    and on the curvature grid, which static clearance shares, and a chunk
-    of P candidates then costs a few B @ H products on the (P, n, 3)
+    vector, so every candidate of the cycle shares one B-spline basis and
+    one piecewise Bezier table. The basis values and derivatives at the
+    arc-length Gauss nodes and on the curvature grid, which static
+    clearance shares, are read from that table here, and a chunk of P
+    candidates then costs a few B @ H products on the (P, n, 3)
     homogeneous control points. The VO samples, at each candidate's own
-    parameters, are evaluated in piecewise Bezier form on the same knot
-    vector. Agrees with apply_delta + total_length +
+    parameters, map the control points to the table's coefficients of the
+    pieces they reach. Agrees with apply_delta + total_length +
     constraint_violations to rounding.
     """
 
@@ -240,10 +241,9 @@ class _CycleKernel:
         self.speed = speed
         knots, degree = base.knots, base.degree
         _, self.half, gl_nodes = geometry.arclen_cells(knots)
-        self.gl_basis = geometry.basis_matrices(knots, degree, gl_nodes, 1)
+        self.gl_basis = geometry.piece_basis(knots, degree, gl_nodes, 1)
         self.curv_grid = np.linspace(0.0, 1.0, N_CURV_SAMPLES)
-        self.curv_basis = geometry.basis_matrices(knots, degree,
-                                                  self.curv_grid, 2)
+        self.curv_basis = geometry.piece_basis(knots, degree, self.curv_grid, 2)
         statics = list(statics)
         self.centers = np.array([s.center for s in statics]).reshape(-1, 2)
         self.clearance = np.array([s.radius + config.r_safe + config.r_u

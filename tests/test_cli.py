@@ -55,6 +55,7 @@ def test_bad_input_exit_code(tmp_path, capsys):
     ["--seed", "1.5"],
     ["--mode", "bench-replan", "--replans", "0"],
     ["--mode", "bench-replan", "--replans", "-3"],
+    ["--seed", "-1"],
 ])
 def test_malformed_arguments_exit_bad_input(tmp_path, capsys, args):
     path = write_scenario(tmp_path, tiny_scenario())

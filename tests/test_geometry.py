@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from nurbsnav.geometry import (HeadingSpec, NurbsCurve, W_MIN, apply_delta,
-                               basis_matrices, build_path_with_headings,
-                               clamped_uniform_knots, delta_dimension,
-                               locate_length, movable_count, neutral_delta,
-                               piece_map, rational_derivatives, validate_knots)
+                               arclen_cells, basis_matrices,
+                               build_path_with_headings, clamped_uniform_knots,
+                               delta_dimension, locate_length, locate_piece,
+                               movable_count,
+                               neutral_delta, piece_basis, piece_map,
+                               rational_derivatives, validate_knots)
 
 
 def segment(p0=(0.0, 0.0), p1=(10.0, 0.0)) -> NurbsCurve:
@@ -77,30 +79,29 @@ def test_derivatives_match_finite_differences():
     assert np.max(np.linalg.norm(c2 - fd2, axis=1)) <= 1e-3 * scale2
 
 
-def test_basis_span_rules():
-    # A double interior knot leaves an empty span between its copies.
-    knots = np.array([0.0, 0.0, 0.0, 0.0, 0.4, 0.4, 0.7, 1.0, 1.0, 1.0, 1.0])
-    s = np.array([0.0, 0.2, 0.4, 0.55, 0.7, 0.9, 1.0, -0.1])
-    b, db = basis_matrices(knots, 3, s, order=1)
-    assert np.allclose(b[:-1].sum(axis=1), 1.0, atol=1e-15)
-    assert np.allclose(db[:-1].sum(axis=1), 0.0, atol=1e-12)
-    assert np.array_equal(b[0], np.eye(7)[0])
-    assert np.array_equal(b[6], np.eye(7)[6])  # s = 1 takes the last span
-    assert not b[-1].any()  # below the domain: no span
+# A double interior knot leaves an empty span between its copies.
+DOUBLE_KNOTS = np.array([0.0, 0.0, 0.0, 0.0, 0.4, 0.4, 0.7, 1.0, 1.0, 1.0, 1.0])
+
+
+def cox_de_boor(knots, degree, s, order) -> list:
+    """Reference basis matrices on explicit knot spans: the span to the
+    right of equal knots, and the last non-empty span at s = 1."""
+    span = np.minimum(np.searchsorted(knots, s, side="right") - 1,
+                      knots.size - degree - 2)
+    return basis_matrices(knots, degree, s, order, span)
 
 
 def piecewise_cases() -> list:
-    """Curves of degree 1-3 with random weights, one on the double-knot
-    vector of test_basis_span_rules, and halves produced by split."""
+    """Curves of degree 1-3 with random weights, one on DOUBLE_KNOTS, and
+    halves produced by split."""
     rng = np.random.default_rng(21)
     curves = [NurbsCurve(degree=p, control_points=rng.uniform(-50.0, 50.0, (n, 2)),
                          weights=rng.uniform(0.2, 3.0, n),
                          knots=clamped_uniform_knots(n, p))
               for p, n in ((1, 6), (2, 7), (3, 9))]
-    double = np.array([0.0, 0.0, 0.0, 0.0, 0.4, 0.4, 0.7, 1.0, 1.0, 1.0, 1.0])
     curves.append(NurbsCurve(degree=3,
                              control_points=rng.uniform(-50.0, 50.0, (7, 2)),
-                             weights=rng.uniform(0.2, 3.0, 7), knots=double))
+                             weights=rng.uniform(0.2, 3.0, 7), knots=DOUBLE_KNOTS))
     for c, s_cut in ((curves[1], 0.58), (curves[2], 0.37), (curves[3], 0.55),
                      (wiggly(), 0.62)):
         curves.extend(c.split(s_cut))
@@ -110,7 +111,10 @@ def piecewise_cases() -> list:
 def test_piecewise_form_matches_cox_de_boor():
     # Positions and first and second derivatives from the per-piece
     # Bernstein form agree with the dense Cox-de Boor tables at both ends,
-    # at every distinct knot and one ulp either side of it.
+    # at every distinct knot and one ulp either side of it. So do the
+    # basis matrices the candidate kernel reads from the piece table, at
+    # the arc-length Gauss nodes and on the 64-point curvature grid.
+    # test_basis_span_rules checks them on DOUBLE_KNOTS.
     for c in piecewise_cases():
         knots = np.unique(c.knots)
         s = np.unique(np.concatenate([knots, np.nextafter(knots, 2.0),
@@ -118,12 +122,37 @@ def test_piecewise_form_matches_cox_de_boor():
         s = s[(s >= 0.0) & (s <= 1.0)]
         got = c.derivatives(s, order=2)
         hom = c.homogeneous
-        ref = rational_derivatives(
-            [None if b is None else (b @ hom).T
-             for b in basis_matrices(c.knots, c.degree, s, order=2)])
+        mats = cox_de_boor(c.knots, c.degree, s, min(c.degree, 2))
+        ref = rational_derivatives([(b @ hom).T for b in mats]
+                                   + [None] * (3 - len(mats)))
         for g, r in zip(got, ref):
             scale = np.max(np.linalg.norm(r, axis=0))
             assert np.max(np.linalg.norm(g - r.T, axis=1)) <= 1e-12 * scale
+        for grid, order in ((arclen_cells(c.knots)[2], 1),
+                            (np.linspace(0.0, 1.0, 64), 2)):
+            order = min(order, c.degree)
+            for g, r in zip(piece_basis(c.knots, c.degree, grid, order),
+                            cox_de_boor(c.knots, c.degree, grid, order)):
+                assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+def test_basis_span_rules():
+    # Partition of unity on the double-knot vector, and the domain ends
+    # take unit rows (s = 1 on the last non-empty span or piece).
+    s = np.array([0.0, 0.2, 0.4, 0.55, 0.7, 0.9, 1.0])
+    for b, db in (piece_basis(DOUBLE_KNOTS, 3, s, 1),
+                  cox_de_boor(DOUBLE_KNOTS, 3, s, 1)):
+        assert np.allclose(b.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+        assert np.allclose(db.sum(axis=1), 0.0, atol=1e-12)
+        assert np.array_equal(b[0], np.eye(7)[0])
+        assert np.array_equal(b[-1], np.eye(7)[-1])
+    # The piece search lands to the right of an edge (never on the empty
+    # span between equal knots) and puts s = 1 at the end of the last piece.
+    edges = piece_map(DOUBLE_KNOTS, 3)[0]
+    idx, t = locate_piece(edges, edges)
+    assert np.array_equal(idx[:-1], np.arange(edges.size - 1))
+    assert np.array_equal(t[:-1], np.zeros(edges.size - 1))
+    assert idx[-1] == edges.size - 2 and t[-1] == 1.0
 
 
 def test_scalar_evaluation_matches_array_form():

@@ -252,6 +252,29 @@ def test_batch_kernel_matches_scalar_path_on_short_cut():
                                                       1e-12)), (got, ref)
 
 
+def test_batch_kernel_zero_tangent_takes_offset_curvature():
+    # Moving the first movable point by -C'(u) / B_4'(u) stops the tangent
+    # at a curvature-grid parameter u, where the kernel hands the row to
+    # the scalar path's symmetric-offset rule.
+    config = fast_config(n_interior=2)
+    w0 = Waypoint(position=np.array([0.0, 0.0]), heading=0.3)
+    w1 = Waypoint(position=np.array([100.0, 10.0]), heading=-0.2)
+    base = initial_path(w0, w1, config)
+    u = np.linspace(0.0, 1.0, config.n_curv_samples)[22:23]
+    db4 = geometry.piece_basis(base.knots, base.degree, u, 1)[1][0, 4]
+    x = geometry.neutral_delta(base)
+    x[:2] = -base.derivatives(u, order=1)[1][0] / db4
+    curve = geometry.apply_delta(base, x)
+    assert np.linalg.norm(curve.derivatives(u, order=1)[1]) < geometry.EPS_TANGENT
+    lengths, violations = _CycleKernel(base, [], [], config, 15.0).evaluate(x[None])
+    got = np.concatenate([lengths, violations[0]])
+    ref = np.concatenate([[curve.total_length()],
+                          constraint_violations(curve, [], [], config, 15.0)])
+    assert ref[2] > 0.0
+    assert np.all(np.abs(got - ref) <= np.maximum(1e-9 * np.abs(ref),
+                                                  1e-12)), (got, ref)
+
+
 # -- single replan cycles --------------------------------------------------
 
 def test_replan_clear_world_keeps_near_straight_path():
