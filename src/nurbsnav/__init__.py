@@ -11,8 +11,8 @@ from .planner import (PlannerConfig, ReplanResult, Waypoint,
                       constraint_violations, cut_path_at_projection,
                       initial_path, mission_loop, replan_cycle)
 from .scenario import Scenario, ScenarioError, load_scenario, run_mission
-from .tracking import (FieldGains, UavState, VehicleLimits,
-                       heading_rate_command, step_dubins, vector_field)
+from .tracking import (UavState, heading_rate_command, step_dubins,
+                       vector_field)
 from .velocity_obstacle import (ObstacleState, VOCheck, in_truncated_vo,
                                 path_vo_violation, time_to_collision)
 from .world import (CollisionEvent, DynamicObstacle, SimLog, StaticObstacle,

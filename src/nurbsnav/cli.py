@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import delta_dimension
-from .planner import replan_cycle, initial_path
+from .planner import initial_path, replan_cycle, wall_time_summary
 from .plot import emit_plot
 from .scenario import ScenarioError, load_scenario, run_mission
 
@@ -83,19 +82,13 @@ def _bench_replan(scenario, seed: int, n_replans: int,
         walls.append(result.wall_time)
         evals.append(result.evals)
         feasible += int(result.feasible)
-    walls.sort()
-    n = len(walls)
     return {
         "mode": "bench-replan",
-        "replans": n,
+        "replans": len(walls),
         "sensed_obstacles": len(sensed),
         "decision_dimension": dimension,
         "feasible_count": feasible,
-        "wall_time": {
-            "median": walls[n // 2] if n else None,
-            "p95": walls[min(n - 1, int(math.ceil(0.95 * n)) - 1)] if n else None,
-            "max": walls[-1] if n else None,
-        },
+        "wall_time": wall_time_summary(walls),
         "evals": {"mean": float(np.mean(evals)) if evals else None},
     }
 

@@ -20,8 +20,8 @@ import numpy as np
 from . import geometry, velocity_obstacle
 from .geometry import HeadingSpec, NurbsCurve
 from .lshade import OptimizerConfig, ProblemDef, optimize
-from .tracking import (FieldGains, UavState, VehicleLimits,
-                       heading_rate_command, step_dubins, vector_field)
+from .tracking import (UavState, heading_rate_command, step_dubins,
+                       vector_field)
 from .velocity_obstacle import path_vo_violation
 from .world import SimLog, World
 
@@ -77,12 +77,6 @@ class PlannerConfig:
     @property
     def rho_min(self) -> float:
         return 1.0 / self.kappa_max
-
-    @property
-    def gains(self) -> FieldGains:
-        # The normal blend should saturate over the turning-radius scale,
-        # not over one meter, or the tracker limit-cycles.
-        return FieldGains(beta=self.kappa_max)
 
 
 @dataclass
@@ -411,128 +405,122 @@ def mission_loop(waypoints: list, world: World, config: PlannerConfig,
     if len(waypoints) < 2:
         raise ValueError("a mission needs at least two waypoints")
     steps_per_replan = max(1, int(round(config.t_replan / dt_sim)))
-    limits = VehicleLimits(config.kappa_max)
-    gains = config.gains
+    log = SimLog()
+
+    def record(state: UavState, u: float, s_anchor: float) -> None:
+        """One trajectory row at the world's clock."""
+        log.times.append(world.clock)
+        log.positions.append(np.array(state.position))
+        log.headings.append(state.heading)
+        log.commands.append(u)
+        log.anchors.append(s_anchor)
+        log.clearances.append(world.min_clearance(state.position, config.r_u,
+                                                  config.r_safe))
+
+    def activate(curve: NurbsCurve, leg: int) -> NurbsCurve:
+        """Log the curve the tracker follows from now on."""
+        log.curves.append({"t": world.clock, "leg": leg,
+                           "curve": curve.to_dict()})
+        return curve
+
+    def leg_path(state: UavState, leg: int) -> NurbsCurve:
+        """A fresh chord path from the current state to the leg's waypoint."""
+        here = Waypoint(position=np.array(state.position),
+                        heading=state.heading)
+        return activate(initial_path(here, waypoints[leg], config), leg)
 
     state = uav0
-    log = SimLog()
-    log.times.append(world.clock)
-    log.positions.append(np.array(state.position))
-    log.headings.append(state.heading)
-    log.commands.append(0.0)
-    log.anchors.append(0.0)
-    log.clearances.append(world.min_clearance(state.position, config.r_u,
-                                              config.r_safe))
-
+    record(state, 0.0, 0.0)
     cycle = 0
     total_steps = 0
     for wp_idx in range(1, len(waypoints)):
         target = waypoints[wp_idx]
-        leg_from = Waypoint(position=np.array(state.position),
-                            heading=state.heading)
-        active = initial_path(leg_from, target, config)
-        log.curves.append({"t": world.clock, "leg": wp_idx,
-                           "curve": active.to_dict()})
+        active = leg_path(state, wp_idx)
         pending: ReplanResult | None = None
         warm_delta = None
-        anchor_hint: float | None = 0.0
+        anchor_hint = 0.0
         leg_steps = 0
-        while True:
-            dist_to_go = float(np.linalg.norm(state.position - target.position))
-            if dist_to_go <= config.waypoint_tolerance:
-                log.waypoint_times.append({"waypoint": wp_idx,
-                                           "t": world.clock})
-                break
+        while float(np.linalg.norm(state.position - target.position)) \
+                > config.waypoint_tolerance:
             if total_steps >= max_steps:
-                log.success = False
-                _finalize(log, config)
-                return log
-
+                break
             if leg_steps % steps_per_replan == 0:
                 if pending is not None:
-                    active = pending.curve
+                    active = activate(pending.curve, wp_idx)
                     anchor_hint = 0.0
-                    log.curves.append({"t": world.clock, "leg": wp_idx,
-                                       "curve": active.to_dict()})
                 sensed = world.sense(state.position, config.r_view)
                 statics = world.visible_statics(state.position, config.r_view)
-                result = replan_cycle(active, state, sensed, config,
-                                      seed=seed * 100003 + cycle,
-                                      statics=statics,
-                                      warm_delta=warm_delta,
-                                      anchor_hint=anchor_hint)
+                pending = replan_cycle(active, state, sensed, config,
+                                       seed=seed * 100003 + cycle,
+                                       statics=statics,
+                                       warm_delta=warm_delta,
+                                       anchor_hint=anchor_hint)
                 cycle += 1
-                pending = result
-                if result is None and dist_to_go > config.waypoint_tolerance:
+                if pending is None:
                     # The path is consumed but the waypoint was missed
                     # (tracking overshoot): start a fresh leg path from the
                     # current state so the field can steer back.
-                    leg_from = Waypoint(position=np.array(state.position),
-                                        heading=state.heading)
-                    active = initial_path(leg_from, target, config)
-                    log.curves.append({"t": world.clock, "leg": wp_idx,
-                                       "curve": active.to_dict()})
+                    active = leg_path(state, wp_idx)
                     warm_delta = None
                     anchor_hint = 0.0
-                if result is not None:
-                    warm_delta = result.delta
+                else:
+                    warm_delta = pending.delta
                     log.replans.append({
                         "t": world.clock, "leg": wp_idx,
-                        "feasible": result.feasible, "f": result.f,
-                        "violations": result.violations,
-                        "wall_time": result.wall_time,
-                        "evals": result.evals,
-                        "remaining_length": result.remaining_length,
+                        "feasible": pending.feasible, "f": pending.f,
+                        "violations": pending.violations,
+                        "wall_time": pending.wall_time,
+                        "evals": pending.evals,
+                        "remaining_length": pending.remaining_length,
                     })
 
-            direction, s_anchor = vector_field(active, state.position, gains,
+            direction, s_anchor = vector_field(active, state.position,
+                                               config.kappa_max,
                                                hint=anchor_hint)
             anchor_hint = s_anchor
-            u = heading_rate_command(state, direction, limits)
-            state = step_dubins(state, u, dt_sim, limits)
+            u = heading_rate_command(state, direction, config.kappa_max)
+            state = step_dubins(state, u, dt_sim, config.kappa_max)
             world.step(dt_sim)
-
-            log.times.append(world.clock)
-            log.positions.append(np.array(state.position))
-            log.headings.append(state.heading)
-            log.commands.append(u)
-            log.anchors.append(s_anchor)
-            log.clearances.append(world.min_clearance(state.position,
-                                                      config.r_u,
-                                                      config.r_safe))
+            record(state, u, s_anchor)
             event = world.check_collision(state.position, config.r_u,
                                           config.r_safe)
             if event is not None:
                 log.collisions.append(event)
-                log.success = False
-                _finalize(log, config)
-                return log
+                break
             leg_steps += 1
             total_steps += 1
+        else:
+            log.waypoint_times.append({"waypoint": wp_idx, "t": world.clock})
+            continue
+        break  # step cap or collision
 
-    log.success = True
-    _finalize(log, config)
+    log.success = len(log.waypoint_times) == len(waypoints) - 1
+    _finalize(log)
     return log
 
 
-def _finalize(log: SimLog, config: PlannerConfig) -> None:
+def wall_time_summary(walls) -> dict:
+    """Median, p95 and max of replan wall times; None when there are none."""
+    walls = sorted(walls)
+    n = len(walls)
+    if not n:
+        return {"median": None, "p95": None, "max": None}
+    return {"median": walls[n // 2],
+            "p95": walls[min(n - 1, int(math.ceil(0.95 * n)) - 1)],
+            "max": walls[-1]}
+
+
+def _finalize(log: SimLog) -> None:
     pos = np.array(log.positions)
     length = float(np.sum(np.linalg.norm(np.diff(pos, axis=0), axis=1))) \
         if len(pos) > 1 else 0.0
     finite = [c for c in log.clearances if math.isfinite(c)]
-    walls = sorted(r["wall_time"] for r in log.replans)
-    stats = {}
-    if walls:
-        stats = {
-            "median": walls[len(walls) // 2],
-            "p95": walls[min(len(walls) - 1, int(math.ceil(0.95 * len(walls))) - 1)],
-            "max": walls[-1],
-        }
     log.metrics = {
         "success": log.success,
         "executed_path_length": length,
         "min_clearance": min(finite) if finite else None,
-        "replan_wall_time": stats,
+        "replan_wall_time": wall_time_summary(r["wall_time"]
+                                              for r in log.replans),
         "replan_count": len(log.replans),
         "total_evals": int(sum(r["evals"] for r in log.replans)),
         "collision_count": len(log.collisions),

@@ -208,10 +208,13 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
 
 def load_scenario(path) -> Scenario:
     try:
-        with open(path) as fh:
+        # JSON is UTF-8 (RFC 8259); the locale's default encoding may not be.
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

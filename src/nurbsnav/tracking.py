@@ -41,42 +41,15 @@ class UavState:
                            np.asarray(self.position, dtype=float))
 
 
-@dataclass(frozen=True)
-class VehicleLimits:
-    """Curvature bound and its derived turn limits."""
-
-    kappa_max: float
-
-    def __post_init__(self):
-        if self.kappa_max <= 0.0:
-            raise ValueError("kappa_max must be positive")
-
-    @property
-    def rho_min(self) -> float:
-        return 1.0 / self.kappa_max
-
-    def u_max(self, speed: float) -> float:
-        """Maximum heading rate at the given speed."""
-        return speed * self.kappa_max
-
-
-@dataclass(frozen=True)
-class FieldGains:
-    beta: float = 1.0  # convergence sharpness, 1/m
-
-    def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError("field gains must be positive")
-
-
-def vector_field(curve: NurbsCurve, p, gains: FieldGains,
+def vector_field(curve: NurbsCurve, p, kappa_max: float,
                  hint: float | None = None) -> tuple[np.ndarray, float]:
     """Unit guidance direction toward and along the curve.
 
     Blends the normal toward the closest curve point (weight
-    (2/pi) atan(beta * d)) with the unit tangent there; the two components
-    are orthogonalized so the output norm is exactly one. Also returns the
-    projection parameter so callers can reuse it as the next hint.
+    (2/pi) atan(kappa_max * d)) with the unit tangent there; the two
+    components are orthogonalized so the output norm is exactly one. Also
+    returns the projection parameter so callers can reuse it as the next
+    hint.
     """
     p = np.asarray(p, dtype=float)
     s_star, dist = curve.project(p, hint=hint)
@@ -94,27 +67,31 @@ def vector_field(curve: NurbsCurve, p, gains: FieldGains,
     n_norm = math.hypot(nx, ny)
     if n_norm < 1e-12 or dist < 1e-12:
         return np.array([tx, ty]), s_star
-    g = (2.0 / math.pi) * math.atan(gains.beta * dist)
+    # The normal blend saturates over the turning-radius scale, not over
+    # one meter, or the tracker limit-cycles.
+    g = (2.0 / math.pi) * math.atan(kappa_max * dist)
     h = math.sqrt(max(1.0 - g * g, 0.0))
     return np.array([g * (nx / n_norm) + h * tx,
                      g * (ny / n_norm) + h * ty]), s_star
 
 
 def heading_rate_command(state: UavState, desired_dir,
-                         limits: VehicleLimits) -> float:
-    """Proportional heading-rate command, clamped to the turn limit."""
+                         kappa_max: float) -> float:
+    """Proportional heading-rate command, clamped to the turn limit
+    speed * kappa_max."""
     desired_dir = np.asarray(desired_dir, dtype=float)
     err = wrap_angle(math.atan2(desired_dir[1], desired_dir[0]) - state.heading)
-    u_max = limits.u_max(state.speed)
+    u_max = state.speed * kappa_max
     return float(np.clip(K_HEADING * err, -u_max, u_max))
 
 
 def step_dubins(state: UavState, u: float, dt: float,
-                limits: VehicleLimits) -> UavState:
-    """Advance the Dubins model by dt with exact arc integration."""
+                kappa_max: float) -> UavState:
+    """Advance the Dubins model by dt with exact arc integration, the
+    heading rate clamped to speed * kappa_max."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    u_max = limits.u_max(state.speed)
+    u_max = state.speed * kappa_max
     u = float(np.clip(u, -u_max, u_max))
     v = state.speed
     gamma = state.heading

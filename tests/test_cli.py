@@ -43,10 +43,12 @@ def test_validate_mode_writes_nothing(tmp_path, capsys):
 
 def test_bad_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code = main(["--scenario", str(bad), "--mode", "validate"])
-    assert code == EXIT_BAD_INPUT
-    assert "error:" in capsys.readouterr().err
+    # Malformed JSON, and bytes that are not UTF-8.
+    for content in [b"{not json", b"\xff\xfe{}"]:
+        bad.write_bytes(content)
+        code = main(["--scenario", str(bad), "--mode", "validate"])
+        assert code == EXIT_BAD_INPUT
+        assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [

@@ -43,8 +43,8 @@ def test_linear_interpolation_midpoint():
 
 def test_clamped_endpoints_interpolated():
     c = wiggly()
-    assert np.allclose(c.point(0.0), c.control_points[0], atol=1e-15)
-    assert np.allclose(c.point(1.0), c.control_points[-1], atol=1e-15)
+    assert np.allclose(c.point(0.0), c.control_points[0], rtol=0, atol=1e-15)
+    assert np.allclose(c.point(1.0), c.control_points[-1], rtol=0, atol=1e-15)
 
 
 def test_quarter_circle_on_unit_circle():
@@ -143,7 +143,7 @@ def test_basis_span_rules():
     for b, db in (piece_basis(DOUBLE_KNOTS, 3, s, 1),
                   cox_de_boor(DOUBLE_KNOTS, 3, s, 1)):
         assert np.allclose(b.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
-        assert np.allclose(db.sum(axis=1), 0.0, atol=1e-12)
+        assert np.allclose(db.sum(axis=1), 0.0, rtol=0, atol=1e-12)
         assert np.array_equal(b[0], np.eye(7)[0])
         assert np.array_equal(b[-1], np.eye(7)[-1])
     # The piece search lands to the right of an edge (never on the empty
@@ -501,8 +501,8 @@ def test_project_tie_between_ends_takes_smallest_parameter():
 
 def test_split_segment_right_start():
     left, right = segment().split(0.3)
-    assert np.allclose(right.point(0.0), [3.0, 0.0], atol=1e-12)
-    assert np.allclose(left.point(1.0), [3.0, 0.0], atol=1e-12)
+    assert np.allclose(right.point(0.0), [3.0, 0.0], rtol=0, atol=1e-12)
+    assert np.allclose(left.point(1.0), [3.0, 0.0], rtol=0, atol=1e-12)
 
 
 def test_split_knots_reclamped():
@@ -522,8 +522,8 @@ def test_split_interpolates_cut_point():
     c = wiggly()
     cut = c.point(0.41)
     left, right = c.split(0.41)
-    assert np.allclose(right.point(0.0), cut, atol=1e-9)
-    assert np.allclose(left.point(1.0), cut, atol=1e-9)
+    assert np.allclose(right.point(0.0), cut, rtol=0, atol=1e-9)
+    assert np.allclose(left.point(1.0), cut, rtol=0, atol=1e-9)
 
 
 def test_split_rejects_boundary_parameters():
@@ -538,7 +538,7 @@ def test_build_first_leg_follows_initial_heading():
     spec = HeadingSpec(gamma_init=0.0, gamma_goal=0.0, lam1=2.0, lam2=2.0)
     c = build_path_with_headings([0.0, 0.0], [100.0, 0.0], spec, 4)
     leg = c.control_points[1] - c.control_points[0]
-    assert np.allclose(leg, [2.0, 0.0], atol=1e-12)
+    assert np.allclose(leg, [2.0, 0.0], rtol=0, atol=1e-12)
 
 
 def test_build_endpoint_triples_collinear():
@@ -558,8 +558,8 @@ def test_build_start_tangent_angle():
     tan1 = c.derivatives(1.0, order=1)[1][0]
     assert abs(math.atan2(tan0[1], tan0[0]) - 0.7) <= 1e-9
     assert abs(math.atan2(tan1[1], tan1[0]) - (-0.3)) <= 1e-9
-    assert np.allclose(c.point(0.0), [0.0, 0.0], atol=1e-12)
-    assert np.allclose(c.point(1.0), [80.0, 40.0], atol=1e-12)
+    assert np.allclose(c.point(0.0), [0.0, 0.0], rtol=0, atol=1e-12)
+    assert np.allclose(c.point(1.0), [80.0, 40.0], rtol=0, atol=1e-12)
 
 
 # -- plan variations ------------------------------------------------------
@@ -629,7 +629,7 @@ def test_apply_delta_clips_to_box():
     delta = np.full(dim, 100.0)
     out = apply_delta(c, delta, lower, upper)
     moved = out.control_points[4] - c.control_points[4]
-    assert np.allclose(moved, [1.0, 1.0], atol=1e-12)
+    assert np.allclose(moved, [1.0, 1.0], rtol=0, atol=1e-12)
 
 
 # -- validation -----------------------------------------------------------

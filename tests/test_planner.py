@@ -17,7 +17,7 @@ from nurbsnav.planner import (PlannerConfig, Waypoint, _align_delta,
                               cut_path_at_projection, delta_bounds,
                               initial_path, mission_loop, replan_cycle)
 from nurbsnav.scenario import ScenarioError, load_scenario, parse_scenario
-from nurbsnav.tracking import UavState
+from nurbsnav.tracking import UavState, wrap_angle
 from nurbsnav.velocity_obstacle import ObstacleState
 from nurbsnav.world import StaticObstacle, World
 
@@ -42,8 +42,8 @@ def test_initial_path_endpoints_and_headings():
     w1 = Waypoint(position=np.array([120.0, 40.0]), heading=-0.4)
     curve = initial_path(w0, w1, fast_config())
     p, d, _ = curve.derivatives(np.array([0.0, 1.0]), order=2)
-    assert np.allclose(p[0], w0.position, atol=1e-9)
-    assert np.allclose(p[1], w1.position, atol=1e-9)
+    assert np.allclose(p[0], w0.position, rtol=0, atol=1e-9)
+    assert np.allclose(p[1], w1.position, rtol=0, atol=1e-9)
     assert math.atan2(d[0, 1], d[0, 0]) == pytest.approx(0.9, abs=1e-9)
     assert math.atan2(d[1, 1], d[1, 0]) == pytest.approx(-0.4, abs=1e-9)
 
@@ -85,7 +85,7 @@ def test_cut_removes_travelled_arc():
     travelled = 15.0 * 0.1
     assert cut.total_length() == pytest.approx(
         curve.total_length() - travelled, abs=1e-6)
-    assert np.allclose(cut.point(0.0), [travelled, 0.0], atol=1e-6)
+    assert np.allclose(cut.point(0.0), [travelled, 0.0], rtol=0, atol=1e-6)
 
 
 def test_cut_returns_none_at_path_end():
@@ -471,6 +471,37 @@ def test_mission_loop_reaches_goal():
     assert log.metrics["replan_count"] > 0
     u_max = config.kappa_max * 15.0
     assert max(abs(u) for u in log.commands) <= u_max + 1e-12
+
+
+def test_overshoot_reset_restarts_leg_from_vehicle():
+    # At a 0.5 m tolerance the tracker runs off the end of the leg's path
+    # without reaching the waypoint; the cycle then returns no plan, and
+    # the loop starts a fresh chord path from the vehicle's state.
+    config = fast_config(waypoint_tolerance=0.5,
+                         optimizer=OptimizerConfig(budget=48, n_init=16))
+    w0 = Waypoint(position=np.array([0.0, 0.0]), heading=0.0)
+    w1 = Waypoint(position=np.array([80.0, 20.0]), heading=0.0)
+    log = mission_loop([w0, w1], World(), config, seed=0,
+                       uav0=UavState(w0.position, w0.heading, 15.0),
+                       dt_sim=0.01, max_steps=3000)
+    assert not log.collisions
+    replan_times = {r["t"] for r in log.replans}
+    # The last curve logged at each time; a reset is one logged at a
+    # cycle that left no replan record.
+    last = {rec["t"]: rec for rec in log.curves}
+    resets = [rec for t, rec in last.items() if t not in replan_times]
+    assert resets
+    for rec in resets:
+        assert rec["leg"] == 1
+        i = log.times.index(rec["t"])
+        c0, c1 = NurbsCurve.from_dict(rec["curve"]).derivatives(
+            np.array([0.0]), order=1)
+        assert np.allclose(c0[0], log.positions[i], rtol=0, atol=1e-9)
+        heading = math.atan2(c1[0, 1], c1[0, 0])
+        assert abs(wrap_angle(heading - log.headings[i])) <= 1e-9
+        # The flight goes on, and the next cycles replan the fresh path.
+        assert len(log.times) > i + 1
+        assert any(t > rec["t"] for t in replan_times)
 
 
 def test_mission_loop_needs_two_waypoints():
