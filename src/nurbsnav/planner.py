@@ -218,14 +218,14 @@ class _CycleKernel:
 
     Built once per replan cycle on the cut path. apply_delta keeps the knot
     vector, so every candidate of the cycle shares one B-spline basis and
-    one piecewise Bezier table. The basis values and derivatives at the
-    arc-length Gauss nodes and on the curvature grid, which static
-    clearance shares, are read from that table here, and a chunk of P
-    candidates then costs a few B @ H products on the (P, n, 3)
-    homogeneous control points. The VO samples, at each candidate's own
-    parameters, map the control points to the table's coefficients of the
-    pieces they reach. Agrees with apply_delta + total_length +
-    constraint_violations to rounding.
+    one piecewise Bezier table. A chunk of P candidates then costs a few
+    B @ H products on the (P, n, 3) homogeneous control points: lengths
+    come from `geometry.edge_lengths`, the one length routine, which the
+    curve's own `total_length` also uses; the basis on the curvature
+    grid, which static clearance shares, is read from the table here. The
+    VO samples, at each candidate's own parameters, map the control points
+    to the table's coefficients of the pieces they reach. Agrees with
+    apply_delta + total_length + constraint_violations to rounding.
     """
 
     def __init__(self, base: NurbsCurve, statics, dynamics,
@@ -234,8 +234,6 @@ class _CycleKernel:
         self.config = config
         self.speed = speed
         knots, degree = base.knots, base.degree
-        _, self.half, gl_nodes = geometry.arclen_cells(knots)
-        self.gl_basis = geometry.piece_basis(knots, degree, gl_nodes, 1)
         self.curv_grid = np.linspace(0.0, 1.0, N_CURV_SAMPLES)
         self.curv_basis = geometry.piece_basis(knots, degree, self.curv_grid, 2)
         statics = list(statics)
@@ -254,15 +252,6 @@ class _CycleKernel:
             self.vo_map = table[:, : self.vo_width].reshape(-1, table.shape[-1]).T
             self.vo_frac = np.linspace(0.0, 1.0, N_VO_SAMPLES)
 
-    @staticmethod
-    def _derivs(mats, hom_rows):
-        """Rational derivatives of every candidate at shared parameters,
-        shape (2, P, m), from (m, n) basis matrices and the (3P, n)
-        component-major homogeneous control points."""
-        n_var = hom_rows.shape[0] // 3
-        return geometry.rational_derivatives(
-            [(hom_rows @ b.T).reshape(3, n_var, -1) for b in mats])
-
     def evaluate(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Path lengths (P,) and [static, curvature, VO] violations (P, 3)."""
         config = self.config
@@ -270,18 +259,20 @@ class _CycleKernel:
         # One (3P, n) matrix: every product below is a single matmul, and
         # the x, y, w planes of its result are contiguous.
         hom_rows = hom.transpose(2, 0, 1).reshape(-1, hom.shape[1])
-        _, c1 = self._derivs(self.gl_basis, hom_rows)
-        cum = geometry.cumulative_length(
-            self.half, np.sqrt(c1[0] * c1[0] + c1[1] * c1[1]))
+        n_var = xs.shape[0]
+        cum = geometry.edge_lengths(self.base.knots, self.base.degree,
+                                    hom_rows)
         lengths = cum[:, -1]
-        c0, c1, c2 = self._derivs(self.curv_basis, hom_rows)
+        # Curvature-grid derivatives of every candidate, shape (2, P, m).
+        c0, c1, c2 = geometry.rational_derivatives(
+            [(hom_rows @ b.T).reshape(3, n_var, -1) for b in self.curv_basis])
         kappa, ok = geometry.curvature_values(c1, c2)
         for p in np.nonzero(~ok.all(axis=1))[0]:
             # A vanishing tangent: the scalar path's offset rule, this row only.
             kappa[p] = geometry.apply_delta(self.base,
                                             xs[p]).curvatures(self.curv_grid)
 
-        v = np.zeros((xs.shape[0], 3))
+        v = np.zeros((n_var, 3))
         if self.clearance.size:
             d = np.sqrt((c0[0][..., None] - self.centers[:, 0]) ** 2
                         + (c0[1][..., None] - self.centers[:, 1]) ** 2)
@@ -297,7 +288,7 @@ class _CycleKernel:
             # length grid and of vo_map's piece-major columns. Each row
             # reaches a prefix of the interior edges, so their union
             # counts the pieces past the first.
-            n_var, width = xs.shape[0], self.vo_width
+            width = self.vo_width
             n_piece = 1 + int(np.count_nonzero(
                 (cum[:, 1:-1] <= arc_end[:, None]).any(axis=0)))
             idx, frac = geometry.locate_length(cum[:, : n_piece + 1], arcs)
@@ -445,18 +436,19 @@ def mission_loop(waypoints: list, world: World, config: PlannerConfig,
             if total_steps >= max_steps:
                 break
             if leg_steps % steps_per_replan == 0:
-                if pending is not None:
-                    active = activate(pending.curve, wp_idx)
-                    anchor_hint = 0.0
+                # The pending plan is replanned first and flown only if the
+                # cycle returns a plan, so every logged curve is flown.
+                source, hint = (active, anchor_hint) if pending is None \
+                    else (pending.curve, 0.0)
                 sensed = world.sense(state.position, config.r_view)
                 statics = world.visible_statics(state.position, config.r_view)
-                pending = replan_cycle(active, state, sensed, config,
-                                       seed=seed * 100003 + cycle,
-                                       statics=statics,
-                                       warm_delta=warm_delta,
-                                       anchor_hint=anchor_hint)
+                result = replan_cycle(source, state, sensed, config,
+                                      seed=seed * 100003 + cycle,
+                                      statics=statics,
+                                      warm_delta=warm_delta,
+                                      anchor_hint=hint)
                 cycle += 1
-                if pending is None:
+                if result is None:
                     # The path is consumed but the waypoint was missed
                     # (tracking overshoot): start a fresh leg path from the
                     # current state so the field can steer back.
@@ -464,15 +456,19 @@ def mission_loop(waypoints: list, world: World, config: PlannerConfig,
                     warm_delta = None
                     anchor_hint = 0.0
                 else:
-                    warm_delta = pending.delta
+                    if pending is not None:
+                        active = activate(pending.curve, wp_idx)
+                        anchor_hint = 0.0
+                    warm_delta = result.delta
                     log.replans.append({
                         "t": world.clock, "leg": wp_idx,
-                        "feasible": pending.feasible, "f": pending.f,
-                        "violations": pending.violations,
-                        "wall_time": pending.wall_time,
-                        "evals": pending.evals,
-                        "remaining_length": pending.remaining_length,
+                        "feasible": result.feasible, "f": result.f,
+                        "violations": result.violations,
+                        "wall_time": result.wall_time,
+                        "evals": result.evals,
+                        "remaining_length": result.remaining_length,
                     })
+                pending = result
 
             direction, s_anchor = vector_field(active, state.position,
                                                config.kappa_max,

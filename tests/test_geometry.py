@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from nurbsnav.geometry import (HeadingSpec, NurbsCurve, W_MIN, apply_delta,
-                               arclen_cells, basis_matrices,
+from nurbsnav.geometry import (HeadingSpec, NurbsCurve, W_MIN, _length_basis,
+                               apply_delta, basis_matrices,
                                build_path_with_headings, clamped_uniform_knots,
                                delta_dimension, locate_length, locate_piece,
                                movable_count,
@@ -112,9 +112,10 @@ def test_piecewise_form_matches_cox_de_boor():
     # Positions and first and second derivatives from the per-piece
     # Bernstein form agree with the dense Cox-de Boor tables at both ends,
     # at every distinct knot and one ulp either side of it. So do the
-    # basis matrices the candidate kernel reads from the piece table, at
-    # the arc-length Gauss nodes and on the 64-point curvature grid.
-    # test_basis_span_rules checks them on DOUBLE_KNOTS.
+    # basis matrices read from the piece table: the cached length basis at
+    # the 5 Gauss-Legendre nodes of every piece, and the candidate
+    # kernel's on the 64-point curvature grid. test_basis_span_rules checks
+    # them on DOUBLE_KNOTS.
     for c in piecewise_cases():
         knots = np.unique(c.knots)
         s = np.unique(np.concatenate([knots, np.nextafter(knots, 2.0),
@@ -128,11 +129,18 @@ def test_piecewise_form_matches_cox_de_boor():
         for g, r in zip(got, ref):
             scale = np.max(np.linalg.norm(r, axis=0))
             assert np.max(np.linalg.norm(g - r.T, axis=1)) <= 1e-12 * scale
-        for grid, order in ((arclen_cells(c.knots)[2], 1),
-                            (np.linspace(0.0, 1.0, 64), 2)):
-            order = min(order, c.degree)
-            for g, r in zip(piece_basis(c.knots, c.degree, grid, order),
-                            cox_de_boor(c.knots, c.degree, grid, order)):
+        edges = piece_map(c.knots, c.degree)[0]
+        nodes, _ = np.polynomial.legendre.leggauss(5)
+        gauss = (edges[:-1, None]
+                 + np.diff(edges)[:, None] * (0.5 + 0.5 * nodes)).ravel()
+        grid = np.linspace(0.0, 1.0, 64)
+        curv_order = min(2, c.degree)
+        for got, s_ref, order in (
+                (np.split(_length_basis(c.knots.tobytes(), c.degree)[1].T, 2),
+                 gauss, 1),
+                (piece_basis(c.knots, c.degree, grid, curv_order), grid,
+                 curv_order)):
+            for g, r in zip(got, cox_de_boor(c.knots, c.degree, s_ref, order)):
                 assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
 
@@ -394,20 +402,20 @@ def test_locate_length_matches_searchsorted():
         assert np.array_equal(one_frac, ref_frac)
 
 
-def test_scalar_length_queries_match_array_form():
+def test_array_length_queries_map_the_scalar_form():
+    # Length queries have one implementation: an array of parameters or
+    # targets gives exactly the one-at-a-time results.
     rng = np.random.default_rng(17)
     for c in piecewise_cases() + [random_heading_path(rng) for _ in range(4)]:
         edges, cum = c._arclen_grid
         total = c.total_length()
         s = np.concatenate([[0.0, 1.0, edges[len(edges) // 2]], rng.uniform(size=6)])
-        ref = c.length_from_start(s)
-        got = np.array([c.length_from_start(x) for x in s.tolist()])
-        assert np.all(np.abs(got - ref) <= 1e-12 * total)
+        got = c.length_from_start(s)
+        assert np.array_equal(got, [c.length_from_start(x) for x in s.tolist()])
         targets = np.concatenate([[0.0, total, cum[len(cum) // 2]],
                                   rng.uniform(0.0, total, 6)])
-        ref = c.param_at_length(targets)
-        got = np.array([c.param_at_length(x) for x in targets.tolist()])
-        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+        got = c.param_at_length(targets)
+        assert np.array_equal(got, [c.param_at_length(x) for x in targets.tolist()])
 
 
 def test_length_from_start_monotone():

@@ -216,6 +216,24 @@ def test_batch_kernel_matches_scalar_path():
                                                           1e-12)), (got, ref)
 
 
+def test_length_grid_accuracy_on_search_candidates():
+    # The 5-node-per-piece length grid against the adaptive quadrature on
+    # every kernel-test candidate. The worst case, the start-of-leg path
+    # with extreme weights and spacing factors, is off by 2.61e-4; the
+    # bound sits just above it, so a rebuilt length routine cannot lose
+    # accuracy unnoticed.
+    rng = np.random.default_rng(5)
+    errors = []
+    for base, _, _, config in _kernel_cases():
+        lower, upper = delta_bounds(base, config)
+        for x in _kernel_candidates(base, lower, upper, rng):
+            curve = geometry.apply_delta(base, x, lower, upper)
+            ref = curve.arc_length()
+            errors.append(abs(curve.total_length() - ref) / ref)
+    assert len(errors) == 72
+    assert max(errors) <= 2.7e-4
+
+
 def test_batch_kernel_matches_scalar_path_on_short_cut():
     # The cut is shorter than speed * tau, so every candidate's VO samples
     # are spread over its own length, not over speed * tau.
@@ -486,10 +504,11 @@ def test_overshoot_reset_restarts_leg_from_vehicle():
                        dt_sim=0.01, max_steps=3000)
     assert not log.collisions
     replan_times = {r["t"] for r in log.replans}
-    # The last curve logged at each time; a reset is one logged at a
-    # cycle that left no replan record.
-    last = {rec["t"]: rec for rec in log.curves}
-    resets = [rec for t, rec in last.items() if t not in replan_times]
+    # Every logged curve is flown, so no two share a time; a reset is one
+    # logged at a cycle that left no replan record.
+    curve_times = [rec["t"] for rec in log.curves]
+    assert len(set(curve_times)) == len(curve_times)
+    resets = [rec for rec in log.curves if rec["t"] not in replan_times]
     assert resets
     for rec in resets:
         assert rec["leg"] == 1
