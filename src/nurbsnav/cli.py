@@ -158,7 +158,11 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     seed = scenario.seed if args.seed is None else args.seed
 
     if args.mode == "bench-replan":

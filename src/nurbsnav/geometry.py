@@ -635,14 +635,12 @@ class NurbsCurve:
         _, cum = self._arclen_grid
         return float(cum[-1])
 
-    def param_at_length(self, target, polish: bool = True) -> np.ndarray | float:
+    def param_at_length(self, target) -> np.ndarray | float:
         """Invert the arc-length function: smallest s with L(s) = target.
 
         Targets are clipped to [0, total length]. Bracketing on the grid
-        followed, when `polish` is set, by Newton iterations on the
-        residual L(s) - target, one target at a time in floats; without
-        polishing the result is the monotone grid interpolant for all
-        targets at once (cheap, accurate to the grid resolution).
+        (its monotone interpolant) followed by Newton iterations on the
+        residual L(s) - target, one target at a time in floats.
         """
         scalar = np.ndim(target) == 0
         tgt = np.atleast_1d(np.asarray(target, dtype=float))
@@ -650,8 +648,6 @@ class NurbsCurve:
         tgt = np.clip(tgt, 0.0, cum[-1])
         idx, frac = locate_length(cum, tgt)
         s = edges[idx] + frac * (edges[idx + 1] - edges[idx])
-        if not polish:
-            return float(s[0]) if scalar else s
         out = []
         for s_k, t_k in zip(s.tolist(), tgt.tolist()):
             for _ in range(3):

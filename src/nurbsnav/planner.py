@@ -29,6 +29,9 @@ FEAS_EPS = 1e-12
 GAIN_RTOL = 1e-9  # relative gain below which a variation is not flown
 N_CURV_SAMPLES = 64  # curvature and static-clearance grid of a candidate
 N_VO_SAMPLES = 20  # VO samples along a candidate, uniform in arc length
+# Curvature allowed above kappa_max: the slack keeps a plan that rides the
+# bound from flipping infeasible when it is re-sampled on the next cycle.
+KAPPA_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -162,52 +165,64 @@ def constraint_violations(candidate: NurbsCurve, statics, dynamics,
     All components are non-negative and zero iff the sampled constraint
     holds. Static clearance is sampled on the curvature grid.
     """
-    curv_grid = np.linspace(0.0, 1.0, N_CURV_SAMPLES)
-    c0, kappa = candidate.positions_and_curvatures(curv_grid)
-    return _sampled_violations(candidate, c0, kappa, statics, dynamics,
-                               config, speed, N_VO_SAMPLES)
+    return _sampled_violations(candidate, statics, dynamics, config, speed,
+                               1)[0]
 
 
-def _sampled_violations(candidate: NurbsCurve, c0: np.ndarray,
-                        kappa: np.ndarray, statics, dynamics,
+def _static_discs(statics, config: PlannerConfig
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Centres (K, 2) of the static discs and the clearance each needs from
+    the path, radius + r_safe + r_u (K,)."""
+    statics = list(statics)
+    return (np.array([s.center for s in statics]).reshape(-1, 2),
+            np.array([s.radius + config.r_safe + config.r_u for s in statics]))
+
+
+def _static_violation(points: np.ndarray, centers: np.ndarray,
+                      clearance: np.ndarray) -> np.ndarray:
+    """Summed clearance shortfall (P,) of P paths' sample points
+    (2, P, m) against the discs of `_static_discs`."""
+    d = np.sqrt((points[0][..., None] - centers[:, 0]) ** 2
+                + (points[1][..., None] - centers[:, 1]) ** 2)
+    return np.maximum(0.0, clearance - d).sum(axis=(1, 2))
+
+
+def _curvature_excess(kappa: np.ndarray, kappa_max: float) -> np.ndarray:
+    """Mean excess (P,) of P paths' curvatures (P, m) on a uniform grid
+    over kappa_max + KAPPA_SLACK."""
+    return np.maximum(0.0, kappa - kappa_max - KAPPA_SLACK).sum(axis=1) \
+        / (kappa.shape[1] - 1)
+
+
+def _sampled_violations(candidate: NurbsCurve, statics, dynamics,
                         config: PlannerConfig, speed: float,
-                        n_vo_samples: int) -> np.ndarray:
-    """constraint_violations from the positions and curvatures on a
-    curvature grid, with n_vo_samples VO samples."""
-    v_obs = 0.0
-    for s in statics:
-        d = np.linalg.norm(c0 - s.center, axis=1)
-        v_obs += float(np.sum(np.maximum(
-            0.0, (s.radius + config.r_safe + config.r_u) - d)))
-
-    v_curv = 0.0
+                        density: int) -> tuple[np.ndarray, np.ndarray]:
+    """constraint_violations with `density` times as many curvature-grid
+    and VO samples, and the curvatures on that grid: the search kernel's
+    rules applied to one curve."""
+    grid = np.linspace(0.0, 1.0, density * N_CURV_SAMPLES)
+    c0, kappa = candidate.positions_and_curvatures(grid)
+    v = np.zeros(3)
+    v[0] = _static_violation(c0.T[:, None], *_static_discs(statics, config))[0]
     if not config.disable_curvature:
-        # The tiny slack keeps a plan that rides the curvature bound from
-        # flipping infeasible when it is re-sampled on the next cycle.
-        v_curv = float(np.sum(np.maximum(0.0,
-                                         kappa - config.kappa_max - 1e-9))
-                       / (kappa.size - 1))
-
-    v_vo = 0.0
+        v[1] = _curvature_excess(kappa[None], config.kappa_max)[0]
     if not config.disable_vo and dynamics:
-        v_vo = path_vo_violation(candidate, speed, dynamics,
+        v[2] = path_vo_violation(candidate, speed, dynamics,
                                  r_u=config.r_u + config.r_safe,
                                  tau=config.tau,
-                                 n_samples=n_vo_samples)
-    return np.array([v_obs, v_curv, v_vo])
+                                 n_samples=density * N_VO_SAMPLES)
+    return v, kappa
 
 
 def _verify(candidate: NurbsCurve, statics, dynamics, config: PlannerConfig,
             speed: float) -> tuple[bool, dict]:
     """Re-check all constraint families at 4x sampling density; the
     curvature peak search starts from the same grid's curvatures."""
-    grid = np.linspace(0.0, 1.0, 4 * N_CURV_SAMPLES)
-    c0, kappa = candidate.positions_and_curvatures(grid)
-    v = _sampled_violations(candidate, c0, kappa, statics, dynamics, config,
-                            speed, 4 * N_VO_SAMPLES)
+    v, kappa = _sampled_violations(candidate, statics, dynamics, config,
+                                   speed, 4)
     if not config.disable_curvature:
-        k_peak, _ = candidate.max_curvature(grid.size, kappa=kappa)
-        v[1] = max(v[1], max(0.0, k_peak - config.kappa_max - 1e-9))
+        k_peak, _ = candidate.max_curvature(kappa.size, kappa=kappa)
+        v[1] = max(v[1], max(0.0, k_peak - config.kappa_max - KAPPA_SLACK))
     violations = {"obstacle": float(v[0]), "curvature": float(v[1]),
                   "vo": float(v[2])}
     return bool(np.all(v <= FEAS_EPS)), violations
@@ -222,10 +237,13 @@ class _CycleKernel:
     B @ H products on the (P, n, 3) homogeneous control points: lengths
     come from `geometry.edge_lengths`, the one length routine, which the
     curve's own `total_length` also uses; the basis on the curvature
-    grid, which static clearance shares, is read from the table here. The
-    VO samples, at each candidate's own parameters, map the control points
-    to the table's coefficients of the pieces they reach. Agrees with
-    apply_delta + total_length + constraint_violations to rounding.
+    grid, which static clearance shares, is read from the table here; the
+    VO samples' coefficients are the control points mapped through the
+    table's columns of the pieces they reach. The samples are scored by
+    the rules `constraint_violations` applies to one curve:
+    `_static_violation`, `_curvature_excess` and
+    `velocity_obstacle.path_depth`. Agrees with apply_delta +
+    total_length + constraint_violations to rounding.
     """
 
     def __init__(self, base: NurbsCurve, statics, dynamics,
@@ -236,21 +254,16 @@ class _CycleKernel:
         knots, degree = base.knots, base.degree
         self.curv_grid = np.linspace(0.0, 1.0, N_CURV_SAMPLES)
         self.curv_basis = geometry.piece_basis(knots, degree, self.curv_grid, 2)
-        statics = list(statics)
-        self.centers = np.array([s.center for s in statics]).reshape(-1, 2)
-        self.clearance = np.array([s.radius + config.r_safe + config.r_u
-                                   for s in statics])
+        self.centers, self.clearance = _static_discs(statics, config)
         self.movers = None
         if not config.disable_vo and dynamics:
             self.movers = velocity_obstacle.obstacle_arrays(
                 dynamics, config.r_u + config.r_safe)
             # The curve and first-derivative blocks of the piecewise
-            # Bezier form; its pieces are the arc-length cells, whose index
-            # and fraction the length inversion yields.
+            # Bezier form, piece-major.
             _, table = geometry.piece_map(knots, degree)
             self.vo_width = 2 * degree + 1
             self.vo_map = table[:, : self.vo_width].reshape(-1, table.shape[-1]).T
-            self.vo_frac = np.linspace(0.0, 1.0, N_VO_SAMPLES)
 
     def evaluate(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Path lengths (P,) and [static, curvature, VO] violations (P, 3)."""
@@ -273,33 +286,18 @@ class _CycleKernel:
                                             xs[p]).curvatures(self.curv_grid)
 
         v = np.zeros((n_var, 3))
-        if self.clearance.size:
-            d = np.sqrt((c0[0][..., None] - self.centers[:, 0]) ** 2
-                        + (c0[1][..., None] - self.centers[:, 1]) ** 2)
-            v[:, 0] = np.maximum(0.0, self.clearance - d).sum(axis=(1, 2))
+        v[:, 0] = _static_violation(c0, self.centers, self.clearance)
         if not config.disable_curvature:
-            v[:, 1] = np.maximum(0.0, kappa - config.kappa_max - 1e-9).sum(axis=1) \
-                / (self.curv_grid.size - 1)
+            v[:, 1] = _curvature_excess(kappa, config.kappa_max)
         if self.movers is not None:
-            arc_end = np.minimum(self.speed * config.tau, lengths)
-            arcs = arc_end[:, None] * self.vo_frac
-            # The samples stop at arc_end, so only the pieces up to the one
-            # holding the farthest arc_end are reached: a prefix of the
-            # length grid and of vo_map's piece-major columns. Each row
-            # reaches a prefix of the interior edges, so their union
-            # counts the pieces past the first.
             width = self.vo_width
-            n_piece = 1 + int(np.count_nonzero(
-                (cum[:, 1:-1] <= arc_end[:, None]).any(axis=0)))
-            idx, frac = geometry.locate_length(cum[:, : n_piece + 1], arcs)
-            coef = (hom_rows @ self.vo_map[:, : n_piece * width]).reshape(
-                3, n_var * n_piece, width)
-            coef = np.take(coef, idx + n_piece * np.arange(n_var)[:, None], axis=1)
-            pos, tan = geometry.rational_derivatives(geometry.piece_derivatives(
-                coef, frac, self.base.degree, 1))
-            v[:, 2] = velocity_obstacle.vo_depth(pos, tan, arcs / self.speed,
-                                                 self.speed, self.movers,
-                                                 config.tau)
+
+            def coefs(k):  # only the reached pieces' columns of vo_map
+                return (hom_rows @ self.vo_map[:, : k * width]).reshape(
+                    3, -1, width)
+            v[:, 2] = velocity_obstacle.path_depth(
+                cum, coefs, self.base.degree, self.speed, self.movers,
+                config.tau, N_VO_SAMPLES)
         return lengths, v
 
 

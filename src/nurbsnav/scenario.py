@@ -28,9 +28,18 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
+def _as_float(value) -> float:
+    """A JSON number as a float: JSON integers have no size limit, and one
+    beyond the float range reads as inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+            or not math.isfinite(_as_float(value)):
         raise ScenarioError(f"{context}: expected a finite number, got {value!r}")
     return float(value)
 
@@ -51,7 +60,7 @@ def _non_negative(value, context: str) -> float:
 
 def _integer(value, context: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer():
+            or not _as_float(value).is_integer():
         raise ScenarioError(f"{context}: expected an integer, got {value!r}")
     if value < minimum:
         raise ScenarioError(f"{context}: must be at least {minimum}, got {value!r}")
@@ -219,6 +228,11 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ScenarioError("scenario JSON is nested too deeply") from exc
+    except ValueError as exc:
+        # The interpreter's limit on the digits of an integer literal.
+        raise ScenarioError(f"invalid JSON: {exc}") from exc
     return parse_scenario(data, name=str(path))
 
 

@@ -11,6 +11,13 @@ closing quadratic on whole arrays, +inf where no collision lies ahead, and
 `time_to_collision` is its one-pair form. `vo_depth` scores P candidates'
 J samples against K movers, held per replan cycle by `obstacle_arrays`, in
 a fixed number of array operations on (K, P, J) arrays.
+
+One sampling rule serves every path: `path_depth` places the samples
+uniformly in arc length on the piece-edge length grid and reads them from
+the piecewise Bezier coefficients of the pieces they reach. The planner's
+search kernel passes a chunk of candidates, whose coefficients it builds
+from the shared basis; `path_vo_violation` passes one curve's cached grid
+and coefficients.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NurbsCurve
+from .geometry import (NurbsCurve, locate_length, piece_derivatives,
+                       rational_derivatives)
 
 _TINY = np.finfo(float).tiny
 
@@ -139,27 +147,49 @@ def in_truncated_vo(v_u, p_u, obs: ObstacleState, r_u: float,
                    depth=(tau - t_star) / tau)
 
 
+def path_depth(cum: np.ndarray, piece_coefs, degree: int, speed: float,
+               obstacles: tuple, tau: float, n_samples: int) -> np.ndarray:
+    """Truncated-VO depth (P,) of P paths flown at `speed`, from their
+    piecewise Bezier form.
+
+    Each path is sampled n_samples times uniformly in arc length up to
+    min(speed * tau, its length), at time arclen / speed; `vo_depth`
+    scores the samples against `obstacles` (from obstacle_arrays).
+    `cum` (P, E) holds each path's cumulative length at the piece edges
+    (`geometry.edge_lengths`), so a sample's piece and local parameter
+    come from `geometry.locate_length`. The samples reach only a prefix of
+    the pieces: `piece_coefs(k)` returns the homogeneous Bernstein
+    coefficients of the first k pieces of every path, shape
+    (3, P * k, W), path-major, holding at least the curve and
+    first-derivative blocks of `geometry.piece_map`'s layout.
+    """
+    n_paths = cum.shape[0]
+    arc_end = np.minimum(speed * tau, cum[:, -1])
+    arcs = arc_end[:, None] * np.linspace(0.0, 1.0, n_samples)
+    # Each row reaches a prefix of the interior edges, so their union
+    # counts the pieces past the first that some sample reaches.
+    n_piece = 1 + int(np.count_nonzero(
+        (cum[:, 1:-1] <= arc_end[:, None]).any(axis=0)))
+    idx, frac = locate_length(cum[:, : n_piece + 1], arcs)
+    coef = np.take(piece_coefs(n_piece),
+                   idx + n_piece * np.arange(n_paths)[:, None], axis=1)
+    pos, tan = rational_derivatives(piece_derivatives(coef, frac, degree, 1))
+    return vo_depth(pos, tan, arcs / speed, speed, obstacles, tau)
+
+
 def path_vo_violation(curve: NurbsCurve, speed: float, obstacles,
                       r_u: float, tau: float, n_samples: int) -> float:
     """Total truncated-VO violation depth along the first speed * tau
     metres of the path (all of it, when shorter).
 
-    The n_samples samples (planner.N_VO_SAMPLES in constraint_violations)
-    are uniform in arc length; each sample j is an agent state at
-    time t_j = arclen_j / speed, checked against every obstacle propagated
-    to t_j with the horizon shrunk to tau - t_j. Zero iff the sampled
-    constraint holds.
+    `path_depth` on the curve's own length grid and cached piece
+    coefficients, with n_samples samples (planner.N_VO_SAMPLES in
+    constraint_violations). Zero iff the sampled constraint holds.
     """
     if n_samples < 2:
         raise ValueError("need at least two VO samples")
-    obstacles = list(obstacles)
-    if not obstacles:
-        return 0.0
-    arc_end = min(speed * tau, curve.total_length())
-    arcs = np.linspace(0.0, arc_end, n_samples)
-    # Grid-interpolated inversion: sampling positions need far less
-    # precision than the obstacle radii they are compared against.
-    s_vals = np.atleast_1d(curve.param_at_length(arcs, polish=False))
-    c0, c1 = curve.derivatives(s_vals, order=1)
-    return float(vo_depth(c0.T[:, None], c1.T[:, None], (arcs / speed)[None],
-                          speed, obstacle_arrays(obstacles, r_u), tau)[0])
+    _, cum = curve._arclen_grid
+    _, coef = curve._pieces
+    return float(path_depth(cum[None], lambda k: coef[:, :k], curve.degree,
+                            speed, obstacle_arrays(obstacles, r_u), tau,
+                            n_samples)[0])

@@ -43,8 +43,12 @@ def test_validate_mode_writes_nothing(tmp_path, capsys):
 
 def test_bad_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    # Malformed JSON, and bytes that are not UTF-8.
-    for content in [b"{not json", b"\xff\xfe{}"]:
+    # Malformed JSON, bytes that are not UTF-8, nesting beyond the
+    # recursion limit, and an integer literal beyond the interpreter's
+    # digit limit.
+    for content in [b"{not json", b"\xff\xfe{}",
+                    b"[" * 100_000 + b"]" * 100_000,
+                    b'{"uav": ' + b"1" * 5000 + b"}"]:
         bad.write_bytes(content)
         code = main(["--scenario", str(bad), "--mode", "validate"])
         assert code == EXIT_BAD_INPUT
@@ -67,6 +71,18 @@ def test_malformed_arguments_exit_bad_input(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_unusable_out_exits_bad_input(tmp_path, capsys):
+    path = write_scenario(tmp_path, tiny_scenario())
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    # An existing file, and a path below one.
+    for out in (blocker, blocker / "out"):
+        code = main(["--scenario", str(path), "--out", str(out)])
+        assert code == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out: ") and err.count("\n") == 1, err
 
 
 def test_help_exits_zero(capsys):
@@ -114,13 +130,16 @@ def _patched(section: str, key: str, value, index: int | None = None) -> dict:
     (_patched("uav", "r_safe", 0.0), "uav.r_safe"),
     (_patched("uav", "r_view", -80.0), "uav.r_view"),
     (_patched("uav", "r_u", -1.0), "uav.r_u"),
+    (_patched("uav", "speed", 10**400), "uav.speed"),
+    (_patched("planner", "n_interior", 10**400), "planner.n_interior"),
 ], ids=["budget-not-a-number", "budget-zero", "max-steps-negative",
         "static-radius-negative", "dynamic-radius-zero",
         "waypoint-repeats-previous", "waypoint-equals-start",
         "waypoint-not-an-object", "statics-not-a-list", "sim-not-an-object",
         "budget-mode-string", "known-string", "tolerance-negative",
         "tolerance-zero", "kappa-max-zero", "r-safe-zero",
-        "r-view-negative", "r-u-negative"])
+        "r-view-negative", "r-u-negative", "speed-beyond-float-range",
+        "n-interior-beyond-float-range"])
 def test_invalid_field_exit_code(tmp_path, capsys, data, field):
     path = write_scenario(tmp_path, data)
     code = main(["--scenario", str(path), "--mode", "validate"])

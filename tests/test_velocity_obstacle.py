@@ -194,6 +194,29 @@ def test_path_violation_agrees_with_brute_force_crossing():
             assert v > 0.0
 
 
+def test_path_violation_last_sample_is_curve_end():
+    # The path is shorter than speed * tau, so the samples run to its end:
+    # the last is the end point at t = length / speed. The mover flies
+    # with the vehicle 0.5 m to the side of the long leg (zero relative
+    # velocity, no overlap) and sits on the end point at that time, so
+    # that sample alone adds depth, exactly 1 (time to collision 0). Of
+    # the 20 samples, only the last lies on the short final leg.
+    curve = NurbsCurve(degree=1,
+                       control_points=np.array([[0.0, 0.0], [20.0, 0.0],
+                                                [20.0, 0.5]]),
+                       weights=np.ones(3),
+                       knots=np.array([0.0, 0.0, 0.5, 1.0, 1.0]))
+    speed, tau = 10.0, 3.0
+    length = curve.total_length()
+    assert length < speed * tau
+    vel = np.array([speed, 0.0])
+    mover = ObstacleState(position=curve.point(1.0) - (length / speed) * vel,
+                          velocity=vel, radius=0.1)
+    v = path_vo_violation(curve, speed, [mover], r_u=0.1, tau=tau,
+                          n_samples=N_VO_SAMPLES)
+    assert v == pytest.approx(1.0, abs=1e-12)
+
+
 def test_path_violation_input_validation():
     with pytest.raises(ValueError):
         path_vo_violation(straight_path(), 10.0,
