@@ -3,7 +3,7 @@ validate scenario files, emitting trajectory CSV, metrics JSON, serialized
 curves and an optional SVG overview.
 
 Exit codes: 0 success, 2 mission failure (collision or step cap),
-3 bad input.
+3 bad input (including an output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -168,7 +168,11 @@ def main(argv=None) -> int:
     if args.mode == "bench-replan":
         metrics = _bench_replan(scenario, seed, args.replans,
                                 args.disable_vo, args.disable_curvature)
-        write_metrics(metrics, out_dir / "metrics.json")
+        try:
+            write_metrics(metrics, out_dir / "metrics.json")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
         wt = metrics["wall_time"]
         print(f"bench-replan: {metrics['replans']} cycles, "
               f"median {_seconds(wt['median'])}, p95 {_seconds(wt['p95'])}")
@@ -176,12 +180,16 @@ def main(argv=None) -> int:
 
     log = run_mission(scenario, seed=seed, disable_vo=args.disable_vo,
                       disable_curvature=args.disable_curvature)
-    write_trajectory_csv(log, out_dir / "trajectory.csv")
-    write_metrics(log.metrics, out_dir / "metrics.json")
-    write_curves(log, out_dir / "curves.jsonl")
-    if args.plot:
-        emit_plot(log, scenario.make_world(), scenario.mission_waypoints(),
-                  out_dir / "plot.svg")
+    try:
+        write_trajectory_csv(log, out_dir / "trajectory.csv")
+        write_metrics(log.metrics, out_dir / "metrics.json")
+        write_curves(log, out_dir / "curves.jsonl")
+        if args.plot:
+            emit_plot(log, scenario.make_world(), scenario.mission_waypoints(),
+                      out_dir / "plot.svg")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     status = "success" if log.success else "failure"
     print(f"mission {status}: length "
           f"{log.metrics['executed_path_length']:.1f} m, "

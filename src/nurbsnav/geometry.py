@@ -25,6 +25,18 @@ basis cached per knot vector at the same local nodes on every piece. It
 takes any stack of homogeneous control points, so a curve's length grid
 and the planner's batch of search candidates share it. `arc_length`, an
 adaptive quadrature, is kept as the independent reference.
+
+The planner's decision vector is stated here and nowhere else. On a
+heading path of n control points, the PINNED points at each end (the
+endpoint and its collinear triple) hold the endpoint heading, and the
+m = n - 2 * PINNED points between them move freely. A variation is
+`[2m point moves | m weight shifts | lam1, lam2]`: `delta_dimension`
+gives its length, `split_delta` and `join_delta` convert between the
+vector and its three blocks, `neutral_delta` and `align_delta` build the
+search's warm starts, and `apply_delta` (one variation, a curve) and
+`apply_delta_batch` (a stack, the search kernel's control-point rows)
+apply it. Neither clips to a box: the optimizer keeps its rows inside
+its own.
 """
 
 from __future__ import annotations
@@ -39,6 +51,9 @@ import numpy as np
 # Weight box for the rational form; weights must stay strictly positive.
 W_MIN = 0.05
 W_MAX = 10.0
+# Control points held at each end of a heading path by the decision
+# vector: the endpoint and its collinear triple.
+PINNED = 4
 
 # Below this tangent norm the curvature is taken from a symmetric offset.
 EPS_TANGENT = 1e-9
@@ -666,9 +681,9 @@ class NurbsCurve:
         n = pts.shape[0]
         lam1 = float(np.linalg.norm(pts[1] - pts[0]))
         lam2 = float(np.linalg.norm(pts[-1] - pts[-2]))
-        return (lam1 if lam1 > 0.0 and _regular_triple(pts[0], pts[1:4]) else None,
-                lam2 if lam2 > 0.0 and _regular_triple(pts[-1], pts[n - 4: n - 1][::-1])
-                else None)
+        start, end = pts[1:PINNED], pts[n - PINNED: n - 1][::-1]
+        return (lam1 if lam1 > 0.0 and _regular_triple(pts[0], start) else None,
+                lam2 if lam2 > 0.0 and _regular_triple(pts[-1], end) else None)
 
     # -- projection -------------------------------------------------------
 
@@ -858,8 +873,8 @@ def build_path_with_headings(start, goal, spec: HeadingSpec,
     pts.append(goal)
     pts = np.array(pts)
     n = pts.shape[0]
-    # movable_count's layout, n - 8 free points between the two end
-    # quadruples, is cubic-only.
+    # movable_count's layout, n - 2 * PINNED free points between the two
+    # pinned ends, is cubic-only.
     return NurbsCurve(
         degree=3,
         control_points=pts,
@@ -870,7 +885,7 @@ def build_path_with_headings(start, goal, spec: HeadingSpec,
 
 def movable_count(curve: NurbsCurve) -> int:
     """Number of freely movable interior control points of a heading path."""
-    return max(curve.control_points.shape[0] - 8, 0)
+    return max(curve.control_points.shape[0] - 2 * PINNED, 0)
 
 
 def delta_dimension(curve: NurbsCurve) -> int:
@@ -878,16 +893,48 @@ def delta_dimension(curve: NurbsCurve) -> int:
     return 3 * movable_count(curve) + 2
 
 
+def split_delta(delta: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views of the blocks of a (..., delta_dimension) array: point moves
+    (..., m, 2), weight shifts (..., m) and spacing factors (..., 2)."""
+    m = (delta.shape[-1] - 2) // 3
+    return (delta[..., : 2 * m].reshape(*delta.shape[:-1], m, 2),
+            delta[..., 2 * m: 3 * m], delta[..., 3 * m:])
+
+
+def join_delta(moves, shifts, spacing) -> np.ndarray:
+    """The decision vector of point moves (m, 2), weight shifts (m,) and
+    spacing factors (2,); the inverse of split_delta."""
+    return np.concatenate([np.ravel(moves), shifts, spacing])
+
+
 def neutral_delta(curve: NurbsCurve) -> np.ndarray:
     """The delta vector that reproduces the curve unchanged."""
-    n_mov = movable_count(curve)
+    m = movable_count(curve)
     pts = curve.control_points
-    lam1 = float(np.linalg.norm(pts[1] - pts[0]))
-    lam2 = float(np.linalg.norm(pts[-1] - pts[-2]))
-    out = np.zeros(3 * n_mov + 2)
-    out[-2] = lam1
-    out[-1] = lam2
-    return out
+    return join_delta(np.zeros((m, 2)), np.zeros(m),
+                      [np.linalg.norm(pts[1] - pts[0]),
+                       np.linalg.norm(pts[-1] - pts[-2])])
+
+
+def align_delta(old: np.ndarray, cut: NurbsCurve) -> np.ndarray:
+    """Momentum start: a previous cycle's delta, mapped onto the layout of
+    the cut (which may have fewer movable points), to be applied again.
+
+    The cut is taken from the flown plan, so its points and weights already
+    carry that displacement; applying it once more steps as far again in
+    the same direction. (Applying it "once" would give neutral_delta(cut).)
+    Points are consumed from the front of the path, so blocks align on
+    their trailing entries; new leading entries start at zero. The spacing
+    factors are absolute, not displacements, and carry over as they are.
+    """
+    old_moves, old_shifts, spacing = split_delta(np.asarray(old, dtype=float))
+    m = movable_count(cut)
+    k = min(m, old_shifts.size)
+    moves, shifts = np.zeros((m, 2)), np.zeros(m)
+    moves[m - k:] = old_moves[old_shifts.size - k:]
+    shifts[m - k:] = old_shifts[old_shifts.size - k:]
+    return join_delta(moves, shifts, spacing)
 
 
 def _regular_triple(anchor: np.ndarray, triple: np.ndarray) -> bool:
@@ -906,19 +953,18 @@ def _vary(base: NurbsCurve, deltas: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray]:
     """Control points (P, n, 2) and weights (P, n) of P variations."""
     n = base.control_points.shape[0]
-    n_mov = n - 8
-    n_var = deltas.shape[0]
-    pts = np.repeat(base.control_points[None], n_var, axis=0)
-    w = np.repeat(base.weights[None], n_var, axis=0)
-    if n_mov:
-        pts[:, 4: 4 + n_mov] += deltas[:, : 2 * n_mov].reshape(n_var, n_mov, 2)
-        w[:, 4: 4 + n_mov] = np.clip(w[:, 4: 4 + n_mov]
-                                     + deltas[:, 2 * n_mov: 3 * n_mov], W_MIN, W_MAX)
+    moves, shifts, spacing = split_delta(deltas)
+    free = slice(PINNED, n - PINNED)
+    pts = np.repeat(base.control_points[None], len(deltas), axis=0)
+    w = np.repeat(base.weights[None], len(deltas), axis=0)
+    pts[:, free] += moves
+    w[:, free] = np.clip(w[:, free] + shifts, W_MIN, W_MAX)
 
     src = base.control_points
     for lam, base_lam, anchor, triple in (
-            (deltas[:, -2], base._end_spacing[0], 0, slice(1, 4)),
-            (deltas[:, -1], base._end_spacing[1], n - 1, slice(n - 4, n - 1))):
+            (spacing[:, 0], base._end_spacing[0], 0, slice(1, PINNED)),
+            (spacing[:, 1], base._end_spacing[1], n - 1,
+             slice(n - PINNED, n - 1))):
         if base_lam is None:
             continue
         rows = (lam > 0.0) & (lam != base_lam)
@@ -927,7 +973,7 @@ def _vary(base: NurbsCurve, deltas: np.ndarray
     return pts, w
 
 
-def apply_delta(base: NurbsCurve, delta, lower=None, upper=None) -> NurbsCurve:
+def apply_delta(base: NurbsCurve, delta) -> NurbsCurve:
     """Apply a plan variation [dP, dw, lam1, lam2] to a heading path.
 
     Interior control points move by dP, interior weights shift by dw
@@ -937,30 +983,29 @@ def apply_delta(base: NurbsCurve, delta, lower=None, upper=None) -> NurbsCurve:
     still has the evenly spaced collinear form it was built with; cutting
     the path disturbs the start triple, after which lam1 becomes inert
     (rescaling an irregular triple would distort the shape without bound).
-    Endpoints and endpoint heading directions never change. Out-of-bounds
-    components are clipped to the given box.
+    Endpoints and endpoint heading directions never change. The delta is
+    applied as given, with no clip to a search box.
     """
     delta = np.asarray(delta, dtype=float)
-    n = base.control_points.shape[0]
-    if n < 8:
+    if base.control_points.shape[0] < 2 * PINNED:
         raise ValueError("curve too short to carry a heading-path layout")
-    dim = 3 * (n - 8) + 2
+    dim = delta_dimension(base)
     if delta.shape != (dim,):
         raise ValueError(f"delta must have dimension {dim}, got {delta.shape}")
-    if lower is not None:
-        delta = np.clip(delta, np.asarray(lower, dtype=float),
-                        np.asarray(upper, dtype=float))
     pts, w = _vary(base, delta[None])
     return NurbsCurve(degree=base.degree, control_points=pts[0], weights=w[0],
                       knots=np.array(base.knots))
 
 
 def apply_delta_batch(base: NurbsCurve, deltas: np.ndarray) -> np.ndarray:
-    """apply_delta for a (P, dim) array of variations at once, unclipped.
+    """apply_delta for a (P, dim) array of variations at once.
 
-    Returns the homogeneous control points (w x, w y, w) as a (P, n, 3)
-    tensor; every variation keeps the base knot vector, so its basis is
-    the base curve's. Row p equals apply_delta(base, deltas[p]).homogeneous.
+    Returns the homogeneous control points in the component-major form the
+    search kernel multiplies by its basis: a (3P, n) array whose rows
+    [0, P), [P, 2P) and [2P, 3P) hold w x, w y and w of the P variations.
+    Every variation keeps the base knot vector, so its basis is the base
+    curve's. Rows p, P + p and 2P + p are the columns of
+    apply_delta(base, deltas[p]).homogeneous.
     """
     pts, w = _vary(base, np.asarray(deltas, dtype=float))
-    return np.concatenate([w[..., None] * pts, w[..., None]], axis=-1)
+    return np.concatenate([w * pts[..., 0], w * pts[..., 1], w])

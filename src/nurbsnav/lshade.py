@@ -63,24 +63,18 @@ class ProblemDef:
         if self.objective is None and self.batch is None:
             raise ValueError("a problem needs an objective or a batch evaluator")
 
-    def evaluate(self, x: np.ndarray) -> tuple[float, float]:
-        """Objective and total violation of one candidate (scalar form)."""
-        f = float(self.objective(x))
-        if self.constraints is None:
-            return f, 0.0
-        viol = np.asarray(self.constraints(x), dtype=float)
-        return f, float(np.sum(viol))
-
-    def evaluate_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Objectives and total violations of a (P, dimension) array.
-
-        Without a batch evaluator this loops over `evaluate`.
-        """
+    def evaluate(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Objectives and total violations of a (P, dimension) array: one
+        call of the batch evaluator, or `objective` and `constraints` row
+        by row."""
         if self.batch is not None:
             f, viol = self.batch(xs)
             return np.asarray(f, dtype=float), np.sum(viol, axis=1)
-        out = np.array([self.evaluate(x) for x in xs], dtype=float).reshape(-1, 2)
-        return out[:, 0], out[:, 1]
+        f = np.array([float(self.objective(x)) for x in xs])
+        if self.constraints is None:
+            return f, np.zeros(len(xs))
+        return f, np.array([np.sum(self.constraints(x), dtype=float)
+                            for x in xs])
 
 
 @dataclass
@@ -309,7 +303,7 @@ def optimize(problem: ProblemDef, config: OptimizerConfig,
                 break
             t0 = time.perf_counter()
             f_out[done:done + m], v_out[done:done + m] = \
-                problem.evaluate_batch(xs[done:done + m])
+                problem.evaluate(xs[done:done + m])
             per_candidate = (time.perf_counter() - t0) / m
             done += m
         stats.evaluations += done

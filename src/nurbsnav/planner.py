@@ -103,16 +103,10 @@ def delta_bounds(curve: NurbsCurve, config: PlannerConfig) -> tuple[np.ndarray, 
     # bounds one cycle's change, and plans are re-optimized every t_replan,
     # so a small box still yields fast lateral authority while keeping
     # consecutive plans close enough for the warm start to converge.
-    lower = np.concatenate([
-        np.full(2 * n_mov, -0.5 * rho),
-        np.full(n_mov, -0.5),
-        [0.05 * rho, 0.05 * rho],
-    ])
-    upper = np.concatenate([
-        np.full(2 * n_mov, 0.5 * rho),
-        np.full(n_mov, 0.5),
-        [2.0 * rho, 2.0 * rho],
-    ])
+    lower = geometry.join_delta(np.full((n_mov, 2), -0.5 * rho),
+                                np.full(n_mov, -0.5), [0.05 * rho, 0.05 * rho])
+    upper = geometry.join_delta(np.full((n_mov, 2), 0.5 * rho),
+                                np.full(n_mov, 0.5), [2.0 * rho, 2.0 * rho])
     return lower, upper
 
 
@@ -234,7 +228,9 @@ class _CycleKernel:
     Built once per replan cycle on the cut path. apply_delta keeps the knot
     vector, so every candidate of the cycle shares one B-spline basis and
     one piecewise Bezier table. A chunk of P candidates then costs a few
-    B @ H products on the (P, n, 3) homogeneous control points: lengths
+    products of the basis with the (3P, n) component-major homogeneous
+    control-point rows that `geometry.apply_delta_batch` returns, each a
+    single matmul whose x, y and w planes are contiguous: lengths
     come from `geometry.edge_lengths`, the one length routine, which the
     curve's own `total_length` also uses; the basis on the curvature
     grid, which static clearance shares, is read from the table here; the
@@ -243,7 +239,8 @@ class _CycleKernel:
     the rules `constraint_violations` applies to one curve:
     `_static_violation`, `_curvature_excess` and
     `velocity_obstacle.path_depth`. Agrees with apply_delta +
-    total_length + constraint_violations to rounding.
+    total_length + constraint_violations to rounding. Rows are applied as
+    given, unclipped: the optimizer keeps them inside `delta_bounds`.
     """
 
     def __init__(self, base: NurbsCurve, statics, dynamics,
@@ -268,10 +265,7 @@ class _CycleKernel:
     def evaluate(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Path lengths (P,) and [static, curvature, VO] violations (P, 3)."""
         config = self.config
-        hom = geometry.apply_delta_batch(self.base, xs)
-        # One (3P, n) matrix: every product below is a single matmul, and
-        # the x, y, w planes of its result are contiguous.
-        hom_rows = hom.transpose(2, 0, 1).reshape(-1, hom.shape[1])
+        hom_rows = geometry.apply_delta_batch(self.base, xs)
         n_var = xs.shape[0]
         cum = geometry.edge_lengths(self.base.knots, self.base.degree,
                                     hom_rows)
@@ -299,29 +293,6 @@ class _CycleKernel:
                 cum, coefs, self.base.degree, self.speed, self.movers,
                 config.tau, N_VO_SAMPLES)
         return lengths, v
-
-
-def _align_delta(old: np.ndarray, new_dim: int) -> np.ndarray:
-    """Momentum start: the previous cycle's delta, mapped onto the cut's
-    (possibly shrunk) layout, to be applied again.
-
-    The cut is taken from the flown plan, so its points and weights already
-    carry that displacement; applying it once more steps as far again in
-    the same direction. (Applying it "once" would give neutral_delta(cut).)
-    Points are consumed from the front of the path, so blocks align on
-    their trailing entries; new leading entries start at zero. The spacing
-    factors are absolute, not displacements, and carry over as they are.
-    """
-    n_old = (old.size - 2) // 3
-    n_new = (new_dim - 2) // 3
-    out = np.zeros(new_dim)
-    k = min(n_old, n_new)
-    if k:
-        out[2 * (n_new - k): 2 * n_new] = old[2 * (n_old - k): 2 * n_old]
-        out[2 * n_new + (n_new - k): 3 * n_new] = \
-            old[2 * n_old + (n_old - k): 3 * n_old]
-    out[-2:] = old[-2:]
-    return out
 
 
 def _real_gain(best, f0: float, v0: float) -> bool:
@@ -368,8 +339,7 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
         opt_cfg = replace(config.optimizer, seed=seed, deadline=deadline)
         warm = [geometry.neutral_delta(cut)]
         if warm_delta is not None:
-            warm.append(_align_delta(np.asarray(warm_delta, dtype=float),
-                                     lower.size))
+            warm.append(geometry.align_delta(warm_delta, cut))
         best, stats = optimize(problem, opt_cfg, warm_start=warm)
         evals = stats.evaluations
         f, delta = stats.first_f, warm[0]

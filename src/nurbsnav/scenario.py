@@ -58,17 +58,20 @@ def _non_negative(value, context: str) -> float:
     return out
 
 
-def _integer(value, context: str, minimum: int) -> int:
+def _integer(value, context: str, minimum: int, maximum: float) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not _as_float(value).is_integer():
         raise ScenarioError(f"{context}: expected an integer, got {value!r}")
     if value < minimum:
         raise ScenarioError(f"{context}: must be at least {minimum}, got {value!r}")
+    if value > maximum:
+        raise ScenarioError(f"{context}: must be at most {maximum}, got {value!r}")
     return int(value)
 
 
-def _at_least(minimum: int):
-    return lambda value, context: _integer(value, context, minimum)
+def _at_least(minimum: int, maximum: float = math.inf):
+    """Validator of an integer in [minimum, maximum]."""
+    return lambda value, context: _integer(value, context, minimum, maximum)
 
 
 def _boolean(value, context: str) -> bool:
@@ -97,12 +100,21 @@ def _point(value, context: str) -> np.ndarray:
 
 # Optional keys: file key -> (field it sets, validator). A key the file
 # leaves out is not passed, so the field keeps its class default.
+# The integer settings that size memory have an upper bound; `budget` and
+# `max_steps` cost time only and have none.
 _PLANNER_KEYS = {"T_s": ("t_replan", _number), "tau": ("tau", _number),
-                 "n_interior": ("n_interior", _at_least(1)),
+                 # A curve's piece table holds about K * 9 * n floats, with
+                 # K ~ n_interior + 45 pieces and n = n_interior + 8 points,
+                 # cached for up to 64 knot vectors: ~1 MB a table at 100,
+                 # ~76 MB at 1,000.
+                 "n_interior": ("n_interior", _at_least(1, 100)),
                  "waypoint_tolerance": ("waypoint_tolerance", _positive),
                  "budget_mode": ("budget_mode", _boolean)}
 _OPTIMIZER_KEYS = {"budget": ("budget", _at_least(1)),
-                   "n_init": ("n_init", _at_least(1))}
+                   # The first budget-mode chunk pushes all n_init rows
+                   # through the search kernel at once: ~70 MB at 1,000
+                   # rows on 100 interior points.
+                   "n_init": ("n_init", _at_least(1, 1000))}
 _SIM_KEYS = {"dt": ("dt_sim", _positive), "max_steps": ("max_steps", _at_least(1))}
 
 

@@ -85,6 +85,19 @@ def test_unusable_out_exits_bad_input(tmp_path, capsys):
         assert err.startswith("error: --out: ") and err.count("\n") == 1, err
 
 
+def test_unwritable_output_file_exits_bad_input(tmp_path, capsys):
+    # The output directory exists, but its trajectory.csv is a directory:
+    # the mission runs, then the writer fails and the run exits 3.
+    path = write_scenario(tmp_path, tiny_scenario())
+    out = tmp_path / "out"
+    (out / "trajectory.csv").mkdir(parents=True)
+    code = main(["--scenario", str(path), "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "trajectory.csv" in err, err
+    assert err.count("\n") == 1, err
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -132,6 +145,10 @@ def _patched(section: str, key: str, value, index: int | None = None) -> dict:
     (_patched("uav", "r_u", -1.0), "uav.r_u"),
     (_patched("uav", "speed", 10**400), "uav.speed"),
     (_patched("planner", "n_interior", 10**400), "planner.n_interior"),
+    (_patched("planner", "n_interior", 1e300), "planner.n_interior"),
+    (_patched("planner", "n_interior", 101), "planner.n_interior"),
+    (_patched("planner", "n_init", 1e300), "planner.n_init"),
+    (_patched("planner", "n_init", 1001), "planner.n_init"),
 ], ids=["budget-not-a-number", "budget-zero", "max-steps-negative",
         "static-radius-negative", "dynamic-radius-zero",
         "waypoint-repeats-previous", "waypoint-equals-start",
@@ -139,7 +156,8 @@ def _patched(section: str, key: str, value, index: int | None = None) -> dict:
         "budget-mode-string", "known-string", "tolerance-negative",
         "tolerance-zero", "kappa-max-zero", "r-safe-zero",
         "r-view-negative", "r-u-negative", "speed-beyond-float-range",
-        "n-interior-beyond-float-range"])
+        "n-interior-beyond-float-range", "n-interior-huge",
+        "n-interior-above-bound", "n-init-huge", "n-init-above-bound"])
 def test_invalid_field_exit_code(tmp_path, capsys, data, field):
     path = write_scenario(tmp_path, data)
     code = main(["--scenario", str(path), "--mode", "validate"])

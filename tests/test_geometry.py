@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from nurbsnav.geometry import (HeadingSpec, NurbsCurve, W_MIN, _length_basis,
-                               apply_delta, basis_matrices,
+from nurbsnav.geometry import (PINNED, HeadingSpec, NurbsCurve, W_MIN,
+                               _length_basis, apply_delta, basis_matrices,
                                build_path_with_headings, clamped_uniform_knots,
-                               delta_dimension, locate_length, locate_piece,
-                               movable_count,
-                               neutral_delta, piece_basis, piece_map,
-                               rational_derivatives, validate_knots)
+                               delta_dimension, join_delta, locate_length,
+                               locate_piece, movable_count, neutral_delta,
+                               piece_basis, piece_map, rational_derivatives,
+                               split_delta, validate_knots)
 
 
 def segment(p0=(0.0, 0.0), p1=(10.0, 0.0)) -> NurbsCurve:
@@ -256,9 +256,10 @@ def random_heading_path(rng) -> NurbsCurve:
                                  spec, int(rng.integers(1, 9)))
     n_mov = movable_count(c)
     delta = neutral_delta(c)
-    delta[: 2 * n_mov] += rng.uniform(-15.0, 15.0, 2 * n_mov)
-    delta[2 * n_mov: 3 * n_mov] += rng.uniform(-0.9, 2.0, n_mov)
-    delta[-2:] *= rng.uniform(0.5, 1.5, 2)
+    moves, shifts, spacing = split_delta(delta)
+    moves += rng.uniform(-15.0, 15.0, (n_mov, 2))
+    shifts += rng.uniform(-0.9, 2.0, n_mov)
+    spacing *= rng.uniform(0.5, 1.5, 2)
     c = apply_delta(c, delta)
     return c.split(rng.uniform(0.05, 0.6))[1] if rng.random() < 0.5 else c
 
@@ -602,10 +603,10 @@ def test_apply_delta_keeps_endpoints_and_headings():
 def test_apply_delta_weight_clipped_to_minimum():
     c = heading_path()
     delta = neutral_delta(c)
-    n_mov = movable_count(c)
-    delta[2 * n_mov] = -10.0  # drive the first movable weight below the box
+    # Drive the first movable weight below the box.
+    split_delta(delta)[1][0] = -10.0
     out = apply_delta(c, delta)
-    assert out.weights[4] == W_MIN
+    assert out.weights[PINNED] == W_MIN
 
 
 def test_apply_delta_rescales_fresh_triples():
@@ -627,17 +628,48 @@ def test_apply_delta_spacing_inert_after_cut():
     assert np.array_equal(out.control_points[:4], right.control_points[:4])
 
 
-def test_apply_delta_clips_to_box():
-    c = heading_path()
-    dim = delta_dimension(c)
-    lower = np.full(dim, -1.0)
-    upper = np.full(dim, 1.0)
-    lower[-2:] = 0.5
-    upper[-2:] = 10.0
-    delta = np.full(dim, 100.0)
-    out = apply_delta(c, delta, lower, upper)
-    moved = out.control_points[4] - c.control_points[4]
-    assert np.allclose(moved, [1.0, 1.0], rtol=0, atol=1e-12)
+@pytest.mark.parametrize("cut", [False, True], ids=["fresh", "cut"])
+def test_delta_blocks_address_their_points(cut):
+    # Distinct values per block and per entry: point PINNED + i moves by
+    # moves[i], weight PINNED + i shifts by shifts[i], and only the last
+    # two entries rescale the end triples (lam1 is inert after a cut).
+    c = heading_path(n_interior=3)
+    if cut:
+        c = c.split(0.3)[1]
+    m = movable_count(c)
+    n = c.control_points.shape[0]
+    moves = np.arange(1.0, 2 * m + 1).reshape(m, 2) * [1.0, -0.5]
+    shifts = 0.1 * np.arange(1.0, m + 1)
+    spacing = np.array([6.0, 2.5])
+    delta = join_delta(moves, shifts, spacing)
+    assert delta.shape == (delta_dimension(c),)
+    for block, part in zip(split_delta(delta), (moves, shifts, spacing)):
+        assert np.array_equal(block, part)
+
+    out = apply_delta(c, delta)
+    free = slice(PINNED, n - PINNED)
+    assert np.allclose(out.control_points[free] - c.control_points[free],
+                       moves, rtol=0.0, atol=1e-12)
+    assert np.allclose(out.weights[free] - c.weights[free], shifts,
+                       rtol=0.0, atol=1e-12)
+
+    # The pinned ends keep their weights and follow the spacing entries
+    # alone.
+    neutral_spacing = split_delta(neutral_delta(c))[2]
+    still = apply_delta(c, join_delta(moves, shifts, neutral_spacing))
+    spaced = apply_delta(c, join_delta(np.zeros((m, 2)), np.zeros(m), spacing))
+    for part in (slice(0, PINNED), slice(n - PINNED, n)):
+        assert np.array_equal(out.weights[part], c.weights[part])
+        assert np.array_equal(still.control_points[part],
+                              c.control_points[part])
+        assert np.array_equal(out.control_points[part],
+                              spaced.control_points[part])
+    end = out.control_points
+    assert abs(np.linalg.norm(end[-1] - end[-2]) - 2.5) <= 1e-12
+    if cut:
+        assert np.array_equal(end[:PINNED], c.control_points[:PINNED])
+    else:
+        assert abs(np.linalg.norm(end[1] - end[0]) - 6.0) <= 1e-12
 
 
 # -- validation -----------------------------------------------------------

@@ -12,8 +12,8 @@ import pytest
 from nurbsnav import geometry, lshade
 from nurbsnav.geometry import NurbsCurve
 from nurbsnav.lshade import OptimizerConfig
-from nurbsnav.planner import (PlannerConfig, Waypoint, _align_delta,
-                              _CycleKernel, constraint_violations,
+from nurbsnav.planner import (PlannerConfig, Waypoint, _CycleKernel,
+                              constraint_violations,
                               cut_path_at_projection, delta_bounds,
                               initial_path, mission_loop, replan_cycle)
 from nurbsnav.scenario import ScenarioError, load_scenario, parse_scenario
@@ -180,15 +180,16 @@ def _kernel_cases():
 
 
 def _kernel_candidates(base, lower, upper, rng):
-    n_mov = geometry.movable_count(base)
-    weights = slice(2 * n_mov, 3 * n_mov)
     xs = lower + rng.random((24, lower.size)) * (upper - lower)
     xs[0] = geometry.neutral_delta(base)
-    xs[1, weights] = lower[weights]  # weight clip at W_MIN
-    xs[2, weights] = upper[weights]  # weight clip at W_MAX
-    xs[3, -2:] = lower[-2:]  # spacing factors on the lam bounds
-    xs[4, -2:] = upper[-2:]
-    xs[5, -2:] = [lower[-2], upper[-1]]
+    _, shifts, spacing = geometry.split_delta(xs)
+    _, low_shifts, low_spacing = geometry.split_delta(lower)
+    _, high_shifts, high_spacing = geometry.split_delta(upper)
+    shifts[1] = low_shifts  # weight clip at W_MIN
+    shifts[2] = high_shifts  # weight clip at W_MAX
+    spacing[3] = low_spacing  # spacing factors on the lam bounds
+    spacing[4] = high_spacing
+    spacing[5] = [low_spacing[0], high_spacing[1]]
     return xs
 
 
@@ -205,7 +206,7 @@ def test_batch_kernel_matches_scalar_path():
         # Every family is active on some candidates.
         assert np.all(np.any(violations > 0.0, axis=0))
         for i, (x, f, v) in enumerate(zip(xs, lengths, violations)):
-            curve = geometry.apply_delta(base, x, lower, upper)
+            curve = geometry.apply_delta(base, x)
             if base is cases[0][0] and i in (1, 2):
                 assert np.any(curve.weights == (geometry.W_MIN, geometry.W_MAX)[i - 1])
             ref = np.concatenate([[curve.total_length()],
@@ -227,7 +228,7 @@ def test_length_grid_accuracy_on_search_candidates():
     for base, _, _, config in _kernel_cases():
         lower, upper = delta_bounds(base, config)
         for x in _kernel_candidates(base, lower, upper, rng):
-            curve = geometry.apply_delta(base, x, lower, upper)
+            curve = geometry.apply_delta(base, x)
             ref = curve.arc_length()
             errors.append(abs(curve.total_length() - ref) / ref)
     assert len(errors) == 72
@@ -261,7 +262,7 @@ def test_batch_kernel_matches_scalar_path_on_short_cut():
     assert np.all(lengths < 15.0 * config.tau)
     assert np.all(np.any(violations > 0.0, axis=0))
     for x, f, v in zip(xs, lengths, violations):
-        curve = geometry.apply_delta(base, x, lower, upper)
+        curve = geometry.apply_delta(base, x)
         ref = np.concatenate([[curve.total_length()],
                               constraint_violations(curve, statics, movers,
                                                     config, 15.0)])
@@ -281,7 +282,7 @@ def test_batch_kernel_zero_tangent_takes_offset_curvature():
     u = np.linspace(0.0, 1.0, config.n_curv_samples)[22:23]
     db4 = geometry.piece_basis(base.knots, base.degree, u, 1)[1][0, 4]
     x = geometry.neutral_delta(base)
-    x[:2] = -base.derivatives(u, order=1)[1][0] / db4
+    geometry.split_delta(x)[0][0] = -base.derivatives(u, order=1)[1][0] / db4
     curve = geometry.apply_delta(base, x)
     assert np.linalg.norm(curve.derivatives(u, order=1)[1]) < geometry.EPS_TANGENT
     lengths, violations = _CycleKernel(base, [], [], config, 15.0).evaluate(x[None])
@@ -466,9 +467,12 @@ def test_align_delta_keeps_trailing_blocks():
     old = np.array([1.0, 2.0, 3.0, 4.0,   # two point blocks
                     0.1, 0.2,              # two weight entries
                     5.0, 6.0])             # spacing factors
-    out = _align_delta(old, new_dim=3 * 1 + 2)
+    w0, w1 = straight_mission()
+    one, three = (initial_path(w0, w1, fast_config(n_interior=m))
+                  for m in (1, 3))
+    out = geometry.align_delta(old, one)
     assert np.array_equal(out, [3.0, 4.0, 0.2, 5.0, 6.0])
-    grown = _align_delta(old, new_dim=3 * 3 + 2)
+    grown = geometry.align_delta(old, three)
     assert np.array_equal(grown, [0.0, 0.0, 1.0, 2.0, 3.0, 4.0,
                                   0.0, 0.1, 0.2, 5.0, 6.0])
 
