@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import delta_dimension
-from .planner import initial_path, replan_cycle, wall_time_summary
+from .planner import (cycle_seed, initial_path, replan_cycle,
+                      wall_time_summary)
 from .plot import emit_plot
 from .scenario import ScenarioError, load_scenario, run_mission
 
@@ -73,7 +74,7 @@ def _bench_replan(scenario, seed: int, n_replans: int,
     walls, evals, feasible, dimension = [], [], 0, None
     for i in range(n_replans):
         result = replan_cycle(curve, state, sensed, config,
-                              seed=seed * 100003 + i, statics=statics)
+                              seed=cycle_seed(seed, i), statics=statics)
         if result is None:
             continue
         # A plan keeps its cut's control-point layout, so this is the

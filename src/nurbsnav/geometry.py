@@ -15,16 +15,25 @@ The evaluation has two implementations on the same coefficients: numpy
 arrays for many parameters at once (`piece_derivatives`,
 `NurbsCurve._derivs`, and `piece_basis`, which the planner uses to read
 the basis every candidate of a cycle shares), and Python floats for one
-parameter (`NurbsCurve._derivs_at`), which the projection's Newton steps,
-the tracker and the arc-length queries use because numpy's per-call cost
-would dominate a single point.
+parameter (`NurbsCurve.derivatives_at`), which the projection's Newton
+steps, the tracker and the arc-length queries use because numpy's
+per-call cost would dominate a single point.
 
 Arc length has one source, `edge_lengths`: the cumulative length at the
 piece edges by 5-point Gauss-Legendre quadrature on every piece, from a
 basis cached per knot vector at the same local nodes on every piece. It
 takes any stack of homogeneous control points, so a curve's length grid
-and the planner's batch of search candidates share it. `arc_length`, an
-adaptive quadrature, is kept as the independent reference.
+(`NurbsCurve.length_grid`) and the planner's batch of search candidates
+share it. `arc_length`, an adaptive quadrature, is kept as the
+independent reference.
+
+This module alone knows how a curve is sampled: the piece table, its
+coefficient layout and the length grid. Samples at given arc lengths
+come from `derivatives_at_lengths`, which finds each one's piece on the
+length grid and evaluates it from a coefficient source:
+`NurbsCurve.piece_coefficients` for one curve, `batch_piece_coefficients`
+for the search kernel's candidates. The velocity-obstacle rule decides
+where the samples go; this module places and evaluates them.
 
 The planner's decision vector is stated here and nowhere else. On a
 heading path of n control points, the PINNED points at each end (the
@@ -246,7 +255,8 @@ def _piece_map(knots_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray]
     blocks[0][0] = np.eye(n)[0]
     blocks[p][-1] = np.eye(n)[-1]
     table = np.stack(blocks, axis=1)
-    table.setflags(write=False)
+    for arr in (edges, table):
+        arr.setflags(write=False)
     return edges, table
 
 
@@ -255,6 +265,33 @@ def piece_map(knots: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
     homogeneous control points to their Bernstein coefficients; see
     `_piece_map`. Cached per knot vector."""
     return _piece_map(knots.tobytes(), degree)
+
+
+@lru_cache(maxsize=64)
+def _value_map(knots_bytes: bytes, degree: int) -> tuple[int, np.ndarray]:
+    """Width W of the curve and first-derivative blocks of the
+    `_bernstein_layout`, and the (n, K * W) map from homogeneous control
+    points to those blocks of every piece of `_piece_map`, piece-major."""
+    _, table = _piece_map(knots_bytes, degree)
+    width = int(_bernstein_layout(degree)[2][1])
+    value_map = table[:, :width].reshape(-1, table.shape[-1]).T
+    value_map.setflags(write=False)
+    return width, value_map
+
+
+def batch_piece_coefficients(knots: np.ndarray, degree: int,
+                             hom_rows: np.ndarray):
+    """`NurbsCurve.piece_coefficients` for P curves on one knot vector.
+
+    `hom_rows` (3P, n) holds their homogeneous control points as in
+    `edge_lengths`. Returns a function of k giving the curve and
+    first-derivative coefficients of the first k pieces of every curve,
+    shape (3, P * k, W), path-major: one product with the control points,
+    over the columns of those k pieces only.
+    """
+    width, value_map = _value_map(knots.tobytes(), degree)
+    return lambda k: (hom_rows @ value_map[:, : k * width]).reshape(
+        3, -1, width)
 
 
 @lru_cache(maxsize=8)
@@ -378,6 +415,29 @@ def edge_lengths(knots: np.ndarray, degree: int,
                           axis=1)
 
 
+def derivatives_at_lengths(cum: np.ndarray, coefs, degree: int,
+                           arcs: np.ndarray) -> list:
+    """Points and tangents [C, C'], components first (2, P, m), of P
+    curves on one knot vector at the arc lengths `arcs` (P, m).
+
+    `cum` (P, K + 1) is their length grid (`edge_lengths`), every arc
+    within [0, cum[p, -1]], so an arc's piece and local parameter come
+    from `locate_length`. `coefs(k)` gives the coefficients of the first
+    k pieces of every curve, (3, P * k, W), path-major, holding at least
+    the curve and first-derivative blocks: `NurbsCurve.piece_coefficients`
+    for one curve, `batch_piece_coefficients` for a batch. It is asked
+    only for the pieces that some arc reaches.
+    """
+    # Each row reaches a prefix of the interior edges, so their union
+    # counts the pieces past the first that some arc reaches.
+    n_piece = 1 + int(np.count_nonzero(
+        (cum[:, 1:-1] <= arcs.max(axis=1, keepdims=True)).any(axis=0)))
+    idx, frac = locate_length(cum[:, : n_piece + 1], arcs)
+    coef = np.take(coefs(n_piece),
+                   idx + n_piece * np.arange(cum.shape[0])[:, None], axis=1)
+    return rational_derivatives(piece_derivatives(coef, frac, degree, 1))
+
+
 @dataclass(frozen=True)
 class HeadingSpec:
     """Endpoint headings plus the collinear-point spacing factors."""
@@ -425,9 +485,12 @@ class NurbsCurve:
 
     # -- evaluation -------------------------------------------------------
 
-    def _check_params(self, s: np.ndarray) -> None:
-        if s.size and (s.min() < 0.0 or s.max() > 1.0):
+    def _params(self, s) -> np.ndarray:
+        """s as a 1-d float array, checked to lie in [0, 1]."""
+        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        if s_arr.size and (s_arr.min() < 0.0 or s_arr.max() > 1.0):
             raise ValueError("curve parameter must lie in [0, 1]")
+        return s_arr
 
     def _derivs(self, s_arr: np.ndarray, order: int) -> list:
         """Rational derivatives [C, C', C''][: order + 1] at checked
@@ -448,6 +511,13 @@ class NurbsCurve:
         coef = np.moveaxis(table @ self.homogeneous, -1, 0)
         return edges, np.ascontiguousarray(coef)
 
+    def piece_coefficients(self, n_pieces: int) -> np.ndarray:
+        """Bernstein coefficients of the homogeneous curve and its first
+        two derivatives on the first n_pieces pieces, components first:
+        shape (3, n_pieces, L) in the layout of `_piece_map`. The
+        coefficient source `derivatives_at_lengths` takes for one curve."""
+        return self._pieces[1][:, :n_pieces]
+
     @cached_property
     def _piece_lists(self) -> tuple[list, list]:
         """`_pieces` as Python lists for one-parameter queries: the piece
@@ -460,16 +530,18 @@ class NurbsCurve:
         edges = self._piece_lists[0]
         return min(bisect_right(edges, s), len(edges) - 1) - 1
 
-    def _derivs_at(self, s: float, order: int = 2) -> list:
-        """Rational derivatives [C, C', C''][: order + 1] at one checked
-        parameter, each an (x, y) pair of floats.
+    def derivatives_at(self, s: float, order: int = 2) -> list:
+        """Rational derivatives [C, C', C''][: order + 1] at one parameter
+        s in [0, 1], each an (x, y) pair of floats.
 
-        `_derivs` for a single parameter without numpy's per-call cost: a
-        bisect piece lookup, then one Bernstein sum per derivative on that
-        piece's coefficients, with weights C(q, i) t^i (1 - t)^(q - i) from
-        running products of t and 1 - t (exactly 0 or 1 at the piece ends).
-        C'' of a degree-1 curve is zero.
+        `derivatives` for a single parameter without numpy's per-call
+        cost: a bisect piece lookup, then one Bernstein sum per derivative
+        on that piece's coefficients, with weights C(q, i) t^i (1 - t)^(q - i)
+        from running products of t and 1 - t (exactly 0 or 1 at the piece
+        ends). C'' of a degree-1 curve is zero.
         """
+        if not 0.0 <= s <= 1.0:
+            raise ValueError("curve parameter must lie in [0, 1]")
         edges, coefs = self._piece_lists
         k = self._piece_at(s)
         a = edges[k]
@@ -516,9 +588,7 @@ class NurbsCurve:
         derivatives follow the quotient rule applied to the homogeneous
         numerator and denominator.
         """
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        self._check_params(s_arr)
-        return tuple(c.T for c in self._derivs(s_arr, order))
+        return tuple(c.T for c in self._derivs(self._params(s), order))
 
     @cached_property
     def homogeneous(self) -> np.ndarray:
@@ -555,14 +625,11 @@ class NurbsCurve:
 
     def curvatures(self, s) -> np.ndarray:
         """Curvature values for an array of parameters."""
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        self._check_params(s_arr)
-        return self._curvature_values(s_arr)
+        return self._curvature_values(self._params(s))
 
     def positions_and_curvatures(self, s) -> tuple[np.ndarray, np.ndarray]:
         """Points and curvatures from a single derivative evaluation."""
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        self._check_params(s_arr)
+        s_arr = self._params(s)
         derivs = self._derivs(s_arr, 2)
         return derivs[0].T, self._curvature_values(s_arr, derivs=derivs)
 
@@ -573,7 +640,7 @@ class NurbsCurve:
         return np.sqrt(np.einsum("ij,ij->i", c1, c1))
 
     def _speed_at(self, s: float) -> float:
-        _, (dx, dy) = self._derivs_at(s, 1)
+        _, (dx, dy) = self.derivatives_at(s, 1)
         return math.sqrt(dx * dx + dy * dy)
 
     def arc_length(self, s0: float = 0.0, s1: float = 1.0) -> float:
@@ -611,8 +678,10 @@ class NurbsCurve:
             n_sub *= 2
 
     @cached_property
-    def _arclen_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Piece edges and the cumulative arc length there (`edge_lengths`)."""
+    def length_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Piece edges (K + 1,) and the cumulative arc length there
+        (`edge_lengths`): the cells in which `locate_length` and
+        `derivatives_at_lengths` place arc lengths."""
         return (piece_map(self.knots, self.degree)[0],
                 edge_lengths(self.knots, self.degree, self.homogeneous.T)[0])
 
@@ -628,9 +697,7 @@ class NurbsCurve:
         start-of-leg path with extreme weights and spacing factors.
         `arc_length` is within 4e-8 on all 72.
         """
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        self._check_params(s_arr)
-        lengths = [self._length_at(x) for x in s_arr.tolist()]
+        lengths = [self._length_at(x) for x in self._params(s).tolist()]
         return lengths[0] if np.ndim(s) == 0 else np.array(lengths)
 
     def _length_at(self, s: float) -> float:
@@ -644,11 +711,10 @@ class NurbsCurve:
         quad = 0.0
         for x, w in zip(nodes, wts):
             quad += self._speed_at(mid + half * x) * w
-        return float(self._arclen_grid[1][k]) + half * quad
+        return float(self.length_grid[1][k]) + half * quad
 
     def total_length(self) -> float:
-        _, cum = self._arclen_grid
-        return float(cum[-1])
+        return float(self.length_grid[1][-1])
 
     def param_at_length(self, target) -> np.ndarray | float:
         """Invert the arc-length function: smallest s with L(s) = target.
@@ -659,7 +725,7 @@ class NurbsCurve:
         """
         scalar = np.ndim(target) == 0
         tgt = np.atleast_1d(np.asarray(target, dtype=float))
-        edges, cum = self._arclen_grid
+        edges, cum = self.length_grid
         tgt = np.clip(tgt, 0.0, cum[-1])
         idx, frac = locate_length(cum, tgt)
         s = edges[idx] + frac * (edges[idx + 1] - edges[idx])
@@ -712,7 +778,7 @@ class NurbsCurve:
         qx, qy = float(q[0]), float(q[1])
         s = s_grid
         for _ in range(PROJ_NEWTON_STEPS):
-            (x, y), (dx, dy), (ddx, ddy) = self._derivs_at(s)
+            (x, y), (dx, dy), (ddx, ddy) = self.derivatives_at(s)
             rx, ry = x - qx, y - qy
             g = rx * dx + ry * dy
             gp = dx * dx + dy * dy + (rx * ddx + ry * ddy)
@@ -725,7 +791,7 @@ class NurbsCurve:
             s = s_new
         best_s, best_d = None, None
         for cand in sorted([s, s_grid, 0.0, 1.0]):
-            ((x, y),) = self._derivs_at(cand, 0)
+            ((x, y),) = self.derivatives_at(cand, 0)
             dist = math.hypot(x - qx, y - qy)
             if best_d is None or dist < best_d - 1e-15:
                 best_s, best_d = cand, dist

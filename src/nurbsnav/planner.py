@@ -64,6 +64,8 @@ class PlannerConfig:
     # The fixed curvature-grid density, read-only, for callers that size
     # their own checks by it.
     n_curv_samples = property(lambda self: N_CURV_SAMPLES)
+    # Clearance the path keeps from every obstacle's edge, r_safe + r_u.
+    margin = property(lambda self: self.r_safe + self.r_u)
 
     def __post_init__(self):
         if self.t_replan <= 0.0:
@@ -166,10 +168,10 @@ def constraint_violations(candidate: NurbsCurve, statics, dynamics,
 def _static_discs(statics, config: PlannerConfig
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Centres (K, 2) of the static discs and the clearance each needs from
-    the path, radius + r_safe + r_u (K,)."""
+    the path, radius + config.margin (K,)."""
     statics = list(statics)
     return (np.array([s.center for s in statics]).reshape(-1, 2),
-            np.array([s.radius + config.r_safe + config.r_u for s in statics]))
+            np.array([s.radius + config.margin for s in statics]))
 
 
 def _static_violation(points: np.ndarray, centers: np.ndarray,
@@ -202,7 +204,7 @@ def _sampled_violations(candidate: NurbsCurve, statics, dynamics,
         v[1] = _curvature_excess(kappa[None], config.kappa_max)[0]
     if not config.disable_vo and dynamics:
         v[2] = path_vo_violation(candidate, speed, dynamics,
-                                 r_u=config.r_u + config.r_safe,
+                                 r_u=config.margin,
                                  tau=config.tau,
                                  n_samples=density * N_VO_SAMPLES)
     return v, kappa
@@ -233,9 +235,9 @@ class _CycleKernel:
     single matmul whose x, y and w planes are contiguous: lengths
     come from `geometry.edge_lengths`, the one length routine, which the
     curve's own `total_length` also uses; the basis on the curvature
-    grid, which static clearance shares, is read from the table here; the
-    VO samples' coefficients are the control points mapped through the
-    table's columns of the pieces they reach. The samples are scored by
+    grid, which static clearance shares, is read from the table here; and
+    `geometry.batch_piece_coefficients` gives the coefficients of the
+    pieces the VO samples reach. The samples are scored by
     the rules `constraint_violations` applies to one curve:
     `_static_violation`, `_curvature_excess` and
     `velocity_obstacle.path_depth`. Agrees with apply_delta +
@@ -248,27 +250,22 @@ class _CycleKernel:
         self.base = base
         self.config = config
         self.speed = speed
-        knots, degree = base.knots, base.degree
         self.curv_grid = np.linspace(0.0, 1.0, N_CURV_SAMPLES)
-        self.curv_basis = geometry.piece_basis(knots, degree, self.curv_grid, 2)
+        self.curv_basis = geometry.piece_basis(base.knots, base.degree,
+                                               self.curv_grid, 2)
         self.centers, self.clearance = _static_discs(statics, config)
         self.movers = None
         if not config.disable_vo and dynamics:
-            self.movers = velocity_obstacle.obstacle_arrays(
-                dynamics, config.r_u + config.r_safe)
-            # The curve and first-derivative blocks of the piecewise
-            # Bezier form, piece-major.
-            _, table = geometry.piece_map(knots, degree)
-            self.vo_width = 2 * degree + 1
-            self.vo_map = table[:, : self.vo_width].reshape(-1, table.shape[-1]).T
+            self.movers = velocity_obstacle.obstacle_arrays(dynamics,
+                                                            config.margin)
 
     def evaluate(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Path lengths (P,) and [static, curvature, VO] violations (P, 3)."""
         config = self.config
+        knots, degree = self.base.knots, self.base.degree
         hom_rows = geometry.apply_delta_batch(self.base, xs)
         n_var = xs.shape[0]
-        cum = geometry.edge_lengths(self.base.knots, self.base.degree,
-                                    hom_rows)
+        cum = geometry.edge_lengths(knots, degree, hom_rows)
         lengths = cum[:, -1]
         # Curvature-grid derivatives of every candidate, shape (2, P, m).
         c0, c1, c2 = geometry.rational_derivatives(
@@ -284,14 +281,9 @@ class _CycleKernel:
         if not config.disable_curvature:
             v[:, 1] = _curvature_excess(kappa, config.kappa_max)
         if self.movers is not None:
-            width = self.vo_width
-
-            def coefs(k):  # only the reached pieces' columns of vo_map
-                return (hom_rows @ self.vo_map[:, : k * width]).reshape(
-                    3, -1, width)
             v[:, 2] = velocity_obstacle.path_depth(
-                cum, coefs, self.base.degree, self.speed, self.movers,
-                config.tau, N_VO_SAMPLES)
+                cum, geometry.batch_piece_coefficients(knots, degree, hom_rows),
+                degree, self.speed, self.movers, config.tau, N_VO_SAMPLES)
         return lengths, v
 
 
@@ -355,6 +347,11 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
                         delta=delta, remaining_length=remaining)
 
 
+def cycle_seed(seed: int, cycle: int) -> int:
+    """Optimizer seed of the `cycle`-th replan of a run seeded `seed`."""
+    return seed * 100003 + cycle
+
+
 def mission_loop(waypoints: list, world: World, config: PlannerConfig,
                  seed: int, uav0: UavState, dt_sim: float,
                  max_steps: int) -> SimLog:
@@ -411,7 +408,7 @@ def mission_loop(waypoints: list, world: World, config: PlannerConfig,
                 sensed = world.sense(state.position, config.r_view)
                 statics = world.visible_statics(state.position, config.r_view)
                 result = replan_cycle(source, state, sensed, config,
-                                      seed=seed * 100003 + cycle,
+                                      seed=cycle_seed(seed, cycle),
                                       statics=statics,
                                       warm_delta=warm_delta,
                                       anchor_hint=hint)

@@ -54,7 +54,7 @@ def vector_field(curve: NurbsCurve, p, kappa_max: float,
     p = np.asarray(p, dtype=float)
     s_star, dist = curve.project(p, hint=hint)
     # One point: float arithmetic costs less than numpy's per-call overhead.
-    (fx, fy), (tx, ty) = curve._derivs_at(s_star, 1)
+    (fx, fy), (tx, ty) = curve.derivatives_at(s_star, 1)
     ox, oy = fx - float(p[0]), fy - float(p[1])
     t_norm = math.hypot(tx, ty)
     if t_norm < 1e-12:

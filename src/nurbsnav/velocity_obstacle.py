@@ -12,12 +12,13 @@ closing quadratic on whole arrays, +inf where no collision lies ahead, and
 J samples against K movers, held per replan cycle by `obstacle_arrays`, in
 a fixed number of array operations on (K, P, J) arrays.
 
-One sampling rule serves every path: `path_depth` places the samples
-uniformly in arc length on the piece-edge length grid and reads them from
-the piecewise Bezier coefficients of the pieces they reach. The planner's
-search kernel passes a chunk of candidates, whose coefficients it builds
-from the shared basis; `path_vo_violation` passes one curve's cached grid
-and coefficients.
+One sampling rule serves every path, and it is the only curve knowledge
+here: `path_depth` spreads the samples uniformly over the first
+min(speed * tau, length) metres and times them at arc length / speed;
+`geometry.derivatives_at_lengths` finds and evaluates them. The planner's
+search kernel passes a chunk of candidates' length grids with
+`geometry.batch_piece_coefficients`; `path_vo_violation` passes one
+curve's `length_grid` and `piece_coefficients`.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (NurbsCurve, locate_length, piece_derivatives,
-                       rational_derivatives)
+from .geometry import NurbsCurve, derivatives_at_lengths
 
 _TINY = np.finfo(float).tiny
 
@@ -149,31 +149,18 @@ def in_truncated_vo(v_u, p_u, obs: ObstacleState, r_u: float,
 
 def path_depth(cum: np.ndarray, piece_coefs, degree: int, speed: float,
                obstacles: tuple, tau: float, n_samples: int) -> np.ndarray:
-    """Truncated-VO depth (P,) of P paths flown at `speed`, from their
-    piecewise Bezier form.
+    """Truncated-VO depth (P,) of P paths flown at `speed`.
 
     Each path is sampled n_samples times uniformly in arc length up to
     min(speed * tau, its length), at time arclen / speed; `vo_depth`
-    scores the samples against `obstacles` (from obstacle_arrays).
-    `cum` (P, E) holds each path's cumulative length at the piece edges
-    (`geometry.edge_lengths`), so a sample's piece and local parameter
-    come from `geometry.locate_length`. The samples reach only a prefix of
-    the pieces: `piece_coefs(k)` returns the homogeneous Bernstein
-    coefficients of the first k pieces of every path, shape
-    (3, P * k, W), path-major, holding at least the curve and
-    first-derivative blocks of `geometry.piece_map`'s layout.
+    scores the samples against `obstacles` (from obstacle_arrays). The
+    paths' length grids `cum` (P, E), their coefficient source
+    `piece_coefs` and `degree` are what
+    `geometry.derivatives_at_lengths` takes to place the samples.
     """
-    n_paths = cum.shape[0]
     arc_end = np.minimum(speed * tau, cum[:, -1])
     arcs = arc_end[:, None] * np.linspace(0.0, 1.0, n_samples)
-    # Each row reaches a prefix of the interior edges, so their union
-    # counts the pieces past the first that some sample reaches.
-    n_piece = 1 + int(np.count_nonzero(
-        (cum[:, 1:-1] <= arc_end[:, None]).any(axis=0)))
-    idx, frac = locate_length(cum[:, : n_piece + 1], arcs)
-    coef = np.take(piece_coefs(n_piece),
-                   idx + n_piece * np.arange(n_paths)[:, None], axis=1)
-    pos, tan = rational_derivatives(piece_derivatives(coef, frac, degree, 1))
+    pos, tan = derivatives_at_lengths(cum, piece_coefs, degree, arcs)
     return vo_depth(pos, tan, arcs / speed, speed, obstacles, tau)
 
 
@@ -182,14 +169,13 @@ def path_vo_violation(curve: NurbsCurve, speed: float, obstacles,
     """Total truncated-VO violation depth along the first speed * tau
     metres of the path (all of it, when shorter).
 
-    `path_depth` on the curve's own length grid and cached piece
-    coefficients, with n_samples samples (planner.N_VO_SAMPLES in
+    `path_depth` on the curve's own length grid and piece coefficients,
+    with n_samples samples (planner.N_VO_SAMPLES in
     constraint_violations). Zero iff the sampled constraint holds.
     """
     if n_samples < 2:
         raise ValueError("need at least two VO samples")
-    _, cum = curve._arclen_grid
-    _, coef = curve._pieces
-    return float(path_depth(cum[None], lambda k: coef[:, :k], curve.degree,
+    _, cum = curve.length_grid
+    return float(path_depth(cum[None], curve.piece_coefficients, curve.degree,
                             speed, obstacle_arrays(obstacles, r_u), tau,
                             n_samples)[0])

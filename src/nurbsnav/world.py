@@ -90,40 +90,34 @@ class World:
                 out.append(s)
         return out
 
+    def _distances(self, uav_pos):
+        """(index, dynamic, distance, radius) of every active obstacle,
+        statics first: the distance from uav_pos to its centre."""
+        uav_pos = np.asarray(uav_pos, dtype=float)
+        for i, s in enumerate(self.statics):
+            yield i, False, float(np.linalg.norm(s.center - uav_pos)), s.radius
+        for i, d in enumerate(self.dynamics):
+            if d.active(self.clock):
+                yield (i, True, float(np.linalg.norm(d.position(self.clock)
+                                                     - uav_pos)), d.radius)
+
     def check_collision(self, uav_pos, r_u: float,
                         r_safe: float) -> CollisionEvent | None:
         """Strict-inequality disc overlap against every active obstacle."""
-        uav_pos = np.asarray(uav_pos, dtype=float)
         margin = r_safe + r_u
-        for i, s in enumerate(self.statics):
-            dist = float(np.linalg.norm(s.center - uav_pos))
-            if dist < s.radius + margin:
+        for i, dynamic, dist, radius in self._distances(uav_pos):
+            if dist < radius + margin:
                 return CollisionEvent(time=self.clock, obstacle_index=i,
-                                      dynamic=False,
-                                      penetration=s.radius + margin - dist)
-        for i, d in enumerate(self.dynamics):
-            if not d.active(self.clock):
-                continue
-            dist = float(np.linalg.norm(d.position(self.clock) - uav_pos))
-            if dist < d.radius + margin:
-                return CollisionEvent(time=self.clock, obstacle_index=i,
-                                      dynamic=True,
-                                      penetration=d.radius + margin - dist)
+                                      dynamic=dynamic,
+                                      penetration=radius + margin - dist)
         return None
 
     def min_clearance(self, uav_pos, r_u: float, r_safe: float) -> float:
         """Smallest signed clearance to any active obstacle (inf if none)."""
-        uav_pos = np.asarray(uav_pos, dtype=float)
         margin = r_safe + r_u
-        best = float("inf")
-        for s in self.statics:
-            best = min(best, float(np.linalg.norm(s.center - uav_pos))
-                       - s.radius - margin)
-        for d in self.dynamics:
-            if d.active(self.clock):
-                best = min(best, float(np.linalg.norm(d.position(self.clock) - uav_pos))
-                           - d.radius - margin)
-        return best
+        return min((dist - radius - margin
+                    for _, _, dist, radius in self._distances(uav_pos)),
+                   default=float("inf"))
 
 
 @dataclass

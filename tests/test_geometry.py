@@ -1,15 +1,19 @@
 """Curve kernel tests: evaluation, curvature, arc length, projection,
 splitting, the heading-path constructor, and plan-variation application."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nurbsnav
 from nurbsnav.geometry import (PINNED, HeadingSpec, NurbsCurve, W_MIN,
                                _length_basis, apply_delta, basis_matrices,
                                build_path_with_headings, clamped_uniform_knots,
-                               delta_dimension, join_delta, locate_length,
+                               delta_dimension, derivatives_at_lengths,
+                               join_delta, locate_length,
                                locate_piece, movable_count, neutral_delta,
                                piece_basis, piece_map, rational_derivatives,
                                split_delta, validate_knots)
@@ -62,6 +66,10 @@ def test_parameter_out_of_domain_rejected():
         segment().length_from_start(1.5)
     with pytest.raises(ValueError):
         segment().length_from_start(-0.1)
+    with pytest.raises(ValueError):
+        segment().derivatives_at(1.5)
+    with pytest.raises(ValueError):
+        segment().derivatives_at(-0.1)
 
 
 def test_derivatives_match_finite_differences():
@@ -174,11 +182,11 @@ def test_scalar_evaluation_matches_array_form():
         s = s[(s >= 0.0) & (s <= 1.0)]
         assert s[0] == 0.0 and s[-1] == 1.0
         for order in (0, 1, 2):
-            ref = c._derivs(s, order)
-            got = np.array([c._derivs_at(x, order) for x in s.tolist()])
+            ref = c.derivatives(s, order)
+            got = np.array([c.derivatives_at(x, order) for x in s.tolist()])
             for k in range(order + 1):
-                scale = np.max(np.linalg.norm(ref[k], axis=0))
-                err = np.max(np.linalg.norm(got[:, k] - ref[k].T, axis=1))
+                scale = np.max(np.linalg.norm(ref[k], axis=1))
+                err = np.max(np.linalg.norm(got[:, k] - ref[k], axis=1))
                 assert err <= 1e-12 * scale
 
 
@@ -408,7 +416,7 @@ def test_array_length_queries_map_the_scalar_form():
     # targets gives exactly the one-at-a-time results.
     rng = np.random.default_rng(17)
     for c in piecewise_cases() + [random_heading_path(rng) for _ in range(4)]:
-        edges, cum = c._arclen_grid
+        edges, cum = c.length_grid
         total = c.total_length()
         s = np.concatenate([[0.0, 1.0, edges[len(edges) // 2]], rng.uniform(size=6)])
         got = c.length_from_start(s)
@@ -417,6 +425,16 @@ def test_array_length_queries_map_the_scalar_form():
                                   rng.uniform(0.0, total, 6)])
         got = c.param_at_length(targets)
         assert np.array_equal(got, [c.param_at_length(x) for x in targets.tolist()])
+
+
+def test_length_samples_on_grid_edges_are_piece_edge_points():
+    # Arc lengths on the curve's own length grid land on its piece edges,
+    # where the sampled points are the curve's points bit for bit.
+    for c in piecewise_cases():
+        edges, cum = c.length_grid
+        pos, _ = derivatives_at_lengths(cum[None], c.piece_coefficients,
+                                        c.degree, cum[None])
+        assert np.array_equal(pos[:, 0].T, c.point(edges))
 
 
 def test_length_from_start_monotone():
@@ -693,3 +711,18 @@ def test_clamped_uniform_knots_layout():
     assert np.array_equal(t, [0, 0, 0, 0, 0.5, 1, 1, 1, 1])
     with pytest.raises(ValueError):
         clamped_uniform_knots(3, 3)
+
+
+def test_only_geometry_reads_private_curve_attributes():
+    # How a curve is sampled stays behind its public API: no other module
+    # of the package reads a private NurbsCurve attribute.
+    private = {name for name in dir(NurbsCurve)
+               if name.startswith("_") and not name.startswith("__")}
+    reads = []
+    for path in sorted(Path(nurbsnav.__file__).parent.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                reads.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert private and not reads, reads

@@ -98,3 +98,33 @@ def test_step_validation_and_radii():
         StaticObstacle(center=[0.0, 0.0], radius=0.0)
     with pytest.raises(ValueError):
         DynamicObstacle(position0=[0.0, 0.0], velocity=[0.0, 0.0], radius=-1.0)
+
+
+def test_collision_event_exactly_when_clearance_negative():
+    # Collision checking and clearance logging read one distance pass: on
+    # seeded positions near 3 statics and 2 movers, an event comes back
+    # exactly when the smallest clearance is negative, and its penetration
+    # is minus the clearance of the obstacle it names.
+    statics = [StaticObstacle(center=c, radius=r) for c, r in
+               (([0.0, 0.0], 3.0), ([12.0, 4.0], 2.0), ([5.0, -9.0], 4.0))]
+    movers = [DynamicObstacle(position0=[-8.0, 6.0], velocity=[2.0, -1.0],
+                              radius=1.5),
+              DynamicObstacle(position0=[15.0, -4.0], velocity=[-3.0, 0.5],
+                              radius=2.5, spawn_time=0.5)]
+    world = World(statics=statics, dynamics=movers)
+    world.step(1.0)
+    centers = [s.center for s in statics] + [d.position(1.0) for d in movers]
+    rng = np.random.default_rng(8)
+    named = set()
+    for _ in range(200):
+        pos = centers[rng.integers(len(centers))] + rng.uniform(-9.0, 9.0, 2)
+        event = world.check_collision(pos, r_u=0.5, r_safe=3.0)
+        clearance = world.min_clearance(pos, r_u=0.5, r_safe=3.0)
+        assert (event is not None) == (clearance < 0.0)
+        if event is not None:
+            obs = (movers if event.dynamic else statics)[event.obstacle_index]
+            center = obs.position(world.clock) if event.dynamic else obs.center
+            own = float(np.linalg.norm(center - pos)) - obs.radius - 3.5
+            assert abs(event.penetration + own) <= 1e-12
+            named.add(event.dynamic)
+    assert named == {False, True}
