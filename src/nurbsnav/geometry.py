@@ -7,9 +7,12 @@ planner. Curves are immutable after construction, so every operation here
 is a pure function and safe to call concurrently.
 
 Curves are evaluated in one form, the piecewise Bezier form of
-`piece_map`, cached per knot vector: per piece, the Bernstein coefficients
-of the curve and of its first two derivatives, so a query is a piece
-lookup (`locate_piece`) and one Bernstein evaluation. Cox-de Boor
+`piece_map`: per piece, the Bernstein coefficients of the curve and of
+its first two derivatives, so a query is a piece lookup (`locate_piece`)
+and one Bernstein evaluation. That table, the length basis and the
+value map below depend on the knot vector alone, so its first query
+builds all three into one cached entry (`_piece_form`). Each cut makes a
+new knot vector, and the cache keeps the last two. Cox-de Boor
 (`basis_matrices`) is read only at the piece ends, to build that table.
 The evaluation has two implementations on the same coefficients: numpy
 arrays for many parameters at once (`piece_derivatives`,
@@ -21,8 +24,8 @@ per-call cost would dominate a single point.
 
 Arc length has one source, `edge_lengths`: the cumulative length at the
 piece edges by 5-point Gauss-Legendre quadrature on every piece, from a
-basis cached per knot vector at the same local nodes on every piece. It
-takes any stack of homogeneous control points, so a curve's length grid
+basis at the same local nodes on every piece. It takes any stack of
+homogeneous control points, so a curve's length grid
 (`NurbsCurve.length_grid`) and the planner's batch of search candidates
 share it. `arc_length`, an adaptive quadrature, is kept as the
 independent reference.
@@ -54,6 +57,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,7 +119,7 @@ def basis_matrices(knots: np.ndarray, degree: int, s: np.ndarray,
     degree-0 table is the indicator of `span` (Piegl & Tiller, The NURBS
     Book, A2.1), so a span's polynomials hold on its closed interval and
     its right end gives their left limits. Empty knot spans get a zero
-    reciprocal, so the 0/0 convention needs no branching. `_piece_map`
+    reciprocal, so the 0/0 convention needs no branching. `_piece_form`
     reads these at piece ends; curves are evaluated from its table.
     """
     t = knots
@@ -191,7 +195,7 @@ def locate_length(cum: np.ndarray,
 
     `cum` is (..., E) and `target` (..., m) with the same leading axes,
     every target within [0, cum[..., -1]]. The cells are the pieces of
-    `_piece_map` (`edge_lengths` gives `cum` at their edges), so the
+    `piece_map` (`edge_lengths` gives `cum` at their edges), so the
     fraction is the local parameter on piece `idx`.
     """
     # Count of interior grid lengths <= target: searchsorted(side="right")
@@ -208,8 +212,35 @@ def locate_length(cum: np.ndarray,
     return idx, frac
 
 
-@lru_cache(maxsize=64)
-def _piece_map(knots_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray]:
+class _PieceForm(NamedTuple):
+    """What every curve on one knot vector shares (`_piece_form`): the
+    piece edges (K + 1,) and the (K, L, n) piece table; the half widths
+    (K,) of the pieces and the (n, 10K) basis at their Gauss nodes, read
+    by `edge_lengths`; and the width W and the (n, K * W) value map read
+    by `batch_piece_coefficients`."""
+
+    edges: np.ndarray
+    table: np.ndarray
+    half: np.ndarray
+    gauss_basis: np.ndarray
+    width: int
+    value_map: np.ndarray
+
+
+# Two entries, sized by measured traffic (budget mode, seed 0). In a
+# mission an entry is read again before any other knot vector's, except
+# the two that every leg shares: the fresh leg path's and the one-span
+# knot vector of a leg's last cuts. On empty_world, three_waypoints,
+# bench and head_on, 2 entries build 155, 308, 30 and 338 times for 155,
+# 303, 30 and 335 knot vectors; 64 entries built 336 times on head_on and
+# as often on the rest. replan-movers snapshots read the fresh leg
+# path's knot vector and the cut's in turn: in a 50 s run 1 entry builds
+# 238 times, 2 entries 61 and 64 entries 32. The builds past 32 there,
+# and on mission-statics-tour the rebuilds in the deadline-mode replays
+# of the window just flown, vanish only at 8 and 26 entries: sizes set
+# by how the benchmark replays cycles, not by the planner.
+@lru_cache(maxsize=2)
+def _piece_form(knots_bytes: bytes, degree: int) -> _PieceForm:
     """Piecewise Bezier form of every curve on one knot vector.
 
     The pieces are the knot spans, cut further at a uniform 41-point grid
@@ -218,9 +249,8 @@ def _piece_map(knots_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray]
     parameter t = (s - a) / (b - a) on [a, b], the homogeneous curve and
     its first two derivatives are Bernstein polynomials of degree p, p - 1
     and p - 2 in t (The NURBS Book, A5.6, decomposes a curve the same
-    way). Returns the piece edges and a (K, L, n) map from homogeneous
-    control points to their coefficients, stacked along L in the order of
-    `_bernstein_layout`.
+    way). The table maps homogeneous control points to their
+    coefficients, stacked along L in the order of `_bernstein_layout`.
 
     Each coefficient comes from the Taylor expansion at the nearer piece
     end: the first half from Cox-de Boor derivatives at a, the second
@@ -229,6 +259,15 @@ def _piece_map(knots_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray]
     a short piece with steep derivatives loses nothing to cancellation,
     and at the domain ends the curve's coefficients are exactly the first
     and last control point, so a clamped curve interpolates them exactly.
+
+    The Gauss basis holds B at the 5-point Gauss-Legendre nodes of every
+    piece (piece-major), then B' at them. The nodes sit at the same local
+    parameters on every piece, so it is the table contracted with one set
+    of Bernstein weights (`piece_derivatives`), with no piece lookup. It is
+    stored transposed and contiguous, so one product with the control
+    points gives the homogeneous curve and its derivative at every node.
+    The value map holds the curve and first-derivative blocks of every
+    piece, piece-major.
     """
     knots = np.frombuffer(knots_bytes, dtype=float)
     edges = np.unique(np.concatenate([knots, np.linspace(0.0, 1.0, 41)]))
@@ -255,28 +294,24 @@ def _piece_map(knots_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray]
     blocks[0][0] = np.eye(n)[0]
     blocks[p][-1] = np.eye(n)[-1]
     table = np.stack(blocks, axis=1)
-    for arr in (edges, table):
+
+    nodes, _ = _leggauss(5)
+    mats = piece_derivatives(table.transpose(0, 2, 1)[:, None],
+                             0.5 + 0.5 * nodes[:, None], degree, 1)
+    gauss_basis = np.ascontiguousarray(np.stack(mats).reshape(-1, n).T)
+    width = int(_bernstein_layout(degree)[2][1])
+    value_map = table[:, :width].reshape(-1, n).T
+    half = 0.5 * np.diff(edges)
+    for arr in (edges, table, half, gauss_basis, value_map):
         arr.setflags(write=False)
-    return edges, table
+    return _PieceForm(edges, table, half, gauss_basis, width, value_map)
 
 
 def piece_map(knots: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Edges (K + 1,) of the curve pieces and the (K, L, n) map from
-    homogeneous control points to their Bernstein coefficients; see
-    `_piece_map`. Cached per knot vector."""
-    return _piece_map(knots.tobytes(), degree)
-
-
-@lru_cache(maxsize=64)
-def _value_map(knots_bytes: bytes, degree: int) -> tuple[int, np.ndarray]:
-    """Width W of the curve and first-derivative blocks of the
-    `_bernstein_layout`, and the (n, K * W) map from homogeneous control
-    points to those blocks of every piece of `_piece_map`, piece-major."""
-    _, table = _piece_map(knots_bytes, degree)
-    width = int(_bernstein_layout(degree)[2][1])
-    value_map = table[:, :width].reshape(-1, table.shape[-1]).T
-    value_map.setflags(write=False)
-    return width, value_map
+    homogeneous control points to their Bernstein coefficients, from the
+    cached `_piece_form`."""
+    return _piece_form(knots.tobytes(), degree)[:2]
 
 
 def batch_piece_coefficients(knots: np.ndarray, degree: int,
@@ -289,14 +324,14 @@ def batch_piece_coefficients(knots: np.ndarray, degree: int,
     shape (3, P * k, W), path-major: one product with the control points,
     over the columns of those k pieces only.
     """
-    width, value_map = _value_map(knots.tobytes(), degree)
-    return lambda k: (hom_rows @ value_map[:, : k * width]).reshape(
-        3, -1, width)
+    form = _piece_form(knots.tobytes(), degree)
+    return lambda k: (hom_rows @ form.value_map[:, : k * form.width]).reshape(
+        3, -1, form.width)
 
 
 @lru_cache(maxsize=8)
 def _bernstein_layout(degree: int):
-    """Stacked coefficient layout of `_piece_map`: for k = 0 .. min(p, 2),
+    """Stacked coefficient layout of `piece_map`: for k = 0 .. min(p, 2),
     the p - k + 1 Bernstein terms of the k-th derivative, one block after
     the other (L terms in all).
 
@@ -327,7 +362,7 @@ def piece_derivatives(coef: np.ndarray, t: np.ndarray, degree: int,
     coefficients.
 
     `coef` (..., L) holds the coefficients of each query's piece in the
-    `_piece_map` layout, with any leading axes (components first, say);
+    `piece_map` layout, with any leading axes (components first, say);
     `t` holds the local parameters and broadcasts against coef[..., 0].
     Each derivative keeps the leading shape; orders above min(degree, 2)
     are None. The powers of t are running products; at t = 0 and t = 1
@@ -359,7 +394,7 @@ def locate_piece(edges: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def piece_basis(knots: np.ndarray, degree: int, s: np.ndarray,
                 order: int) -> list:
     """Basis matrices [B, B', B''][: order + 1] at checked parameters s,
-    each of shape (len(s), n_points), read from the `_piece_map` table:
+    each of shape (len(s), n_points), read from the `piece_map` table:
     the Bernstein evaluation of `piece_derivatives` with every control
     point's coefficients in place of a curve's."""
     edges, table = piece_map(knots, degree)
@@ -368,49 +403,26 @@ def piece_basis(knots: np.ndarray, degree: int, s: np.ndarray,
                              degree, order)
 
 
-@lru_cache(maxsize=64)
-def _length_basis(knots_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Half widths (K,) of the pieces of `_piece_map`, and the basis at
-    the 5-point Gauss-Legendre nodes of every piece: an (n, 10K) matrix
-    whose columns are B at the 5K nodes (piece-major), then B' at them.
-
-    The nodes sit at the same local parameters on every piece, so the
-    basis is the piece table contracted with one set of Bernstein weights
-    (`piece_derivatives`), with no piece lookup. It is stored transposed
-    and contiguous, so one product with the control points gives the
-    homogeneous curve and its derivative at every node.
-    """
-    edges, table = _piece_map(knots_bytes, degree)
-    nodes, _ = _leggauss(5)
-    mats = piece_derivatives(table.transpose(0, 2, 1)[:, None],
-                             0.5 + 0.5 * nodes[:, None], degree, 1)
-    half = 0.5 * np.diff(edges)
-    basis = np.ascontiguousarray(np.stack(mats).reshape(-1, table.shape[-1]).T)
-    for arr in (half, basis):
-        arr.setflags(write=False)
-    return half, basis
-
-
 def edge_lengths(knots: np.ndarray, degree: int,
                  hom_rows: np.ndarray) -> np.ndarray:
     """Cumulative arc length (P, K + 1) at the piece edges of P curves on
     one knot vector: 5-point Gauss-Legendre quadrature of the speed on
-    every piece (`_length_basis`).
+    every piece (the Gauss basis of `_piece_form`).
 
     `hom_rows` (3P, n) holds the homogeneous control points component-
     major: the x rows of the P curves, then their y rows, then their w
     rows.
     """
-    half, basis = _length_basis(knots.tobytes(), degree)
+    form = _piece_form(knots.tobytes(), degree)
     n_var = hom_rows.shape[0] // 3
     # One product gives both derivatives: a product per derivative was
     # measured slower on 40-row chunks, from the page faults of its
     # larger set of temporaries.
-    h = (hom_rows @ basis).reshape(3, n_var, 2, -1)
+    h = (hom_rows @ form.gauss_basis).reshape(3, n_var, 2, -1)
     _, c1 = rational_derivatives([h[:, :, 0], h[:, :, 1]])
     speed = np.sqrt(c1[0] * c1[0] + c1[1] * c1[1])
     _, wts = _leggauss(5)
-    cell = half * (speed.reshape(n_var, half.size, 5) @ wts)
+    cell = form.half * (speed.reshape(n_var, form.half.size, 5) @ wts)
     return np.concatenate([np.zeros((n_var, 1)), np.cumsum(cell, axis=1)],
                           axis=1)
 
@@ -506,7 +518,7 @@ class NurbsCurve:
     def _pieces(self) -> tuple[np.ndarray, np.ndarray]:
         """Piece edges and the Bernstein coefficients of the homogeneous
         curve and its first two derivatives on every piece, components
-        first: shape (3, K, L) (see `_piece_map`)."""
+        first: shape (3, K, L) (see `piece_map`)."""
         edges, table = piece_map(self.knots, self.degree)
         coef = np.moveaxis(table @ self.homogeneous, -1, 0)
         return edges, np.ascontiguousarray(coef)
@@ -514,7 +526,7 @@ class NurbsCurve:
     def piece_coefficients(self, n_pieces: int) -> np.ndarray:
         """Bernstein coefficients of the homogeneous curve and its first
         two derivatives on the first n_pieces pieces, components first:
-        shape (3, n_pieces, L) in the layout of `_piece_map`. The
+        shape (3, n_pieces, L) in the layout of `piece_map`. The
         coefficient source `derivatives_at_lengths` takes for one curve."""
         return self._pieces[1][:, :n_pieces]
 

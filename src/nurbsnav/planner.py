@@ -370,8 +370,8 @@ def mission_loop(waypoints: list, world: World, config: PlannerConfig,
         log.headings.append(state.heading)
         log.commands.append(u)
         log.anchors.append(s_anchor)
-        log.clearances.append(world.min_clearance(state.position, config.r_u,
-                                                  config.r_safe))
+        log.clearances.append(world.min_clearance(state.position,
+                                                  config.margin))
 
     def activate(curve: NurbsCurve, leg: int) -> NurbsCurve:
         """Log the curve the tracker follows from now on."""
@@ -443,8 +443,7 @@ def mission_loop(waypoints: list, world: World, config: PlannerConfig,
             state = step_dubins(state, u, dt_sim, config.kappa_max)
             world.step(dt_sim)
             record(state, u, s_anchor)
-            event = world.check_collision(state.position, config.r_u,
-                                          config.r_safe)
+            event = world.check_collision(state.position, config.margin)
             if event is not None:
                 log.collisions.append(event)
                 break

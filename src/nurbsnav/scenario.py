@@ -103,10 +103,11 @@ def _point(value, context: str) -> np.ndarray:
 # The integer settings that size memory have an upper bound; `budget` and
 # `max_steps` cost time only and have none.
 _PLANNER_KEYS = {"T_s": ("t_replan", _number), "tau": ("tau", _number),
-                 # A curve's piece table holds about K * 9 * n floats, with
+                 # A knot vector's cached entry (piece table, length basis
+                 # and value map) holds about K * 26 * n floats, with
                  # K ~ n_interior + 45 pieces and n = n_interior + 8 points,
-                 # cached for up to 64 knot vectors: ~1 MB a table at 100,
-                 # ~76 MB at 1,000.
+                 # and two entries are kept: ~3.2 MB an entry at 100,
+                 # ~220 MB at 1,000.
                  "n_interior": ("n_interior", _at_least(1, 100)),
                  "waypoint_tolerance": ("waypoint_tolerance", _positive),
                  "budget_mode": ("budget_mode", _boolean)}

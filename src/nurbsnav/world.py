@@ -101,10 +101,9 @@ class World:
                 yield (i, True, float(np.linalg.norm(d.position(self.clock)
                                                      - uav_pos)), d.radius)
 
-    def check_collision(self, uav_pos, r_u: float,
-                        r_safe: float) -> CollisionEvent | None:
-        """Strict-inequality disc overlap against every active obstacle."""
-        margin = r_safe + r_u
+    def check_collision(self, uav_pos, margin: float) -> CollisionEvent | None:
+        """Strict-inequality overlap of every active obstacle's disc,
+        grown by `margin` (the vehicle's radius plus its safety radius)."""
         for i, dynamic, dist, radius in self._distances(uav_pos):
             if dist < radius + margin:
                 return CollisionEvent(time=self.clock, obstacle_index=i,
@@ -112,9 +111,9 @@ class World:
                                       penetration=radius + margin - dist)
         return None
 
-    def min_clearance(self, uav_pos, r_u: float, r_safe: float) -> float:
-        """Smallest signed clearance to any active obstacle (inf if none)."""
-        margin = r_safe + r_u
+    def min_clearance(self, uav_pos, margin: float) -> float:
+        """Smallest signed clearance to any active obstacle's disc grown by
+        `margin` (inf if none)."""
         return min((dist - radius - margin
                     for _, _, dist, radius in self._distances(uav_pos)),
                    default=float("inf"))

@@ -10,7 +10,7 @@ import pytest
 
 import nurbsnav
 from nurbsnav.geometry import (PINNED, HeadingSpec, NurbsCurve, W_MIN,
-                               _length_basis, apply_delta, basis_matrices,
+                               _piece_form, apply_delta, basis_matrices,
                                build_path_with_headings, clamped_uniform_knots,
                                delta_dimension, derivatives_at_lengths,
                                join_delta, locate_length,
@@ -144,7 +144,7 @@ def test_piecewise_form_matches_cox_de_boor():
         grid = np.linspace(0.0, 1.0, 64)
         curv_order = min(2, c.degree)
         for got, s_ref, order in (
-                (np.split(_length_basis(c.knots.tobytes(), c.degree)[1].T, 2),
+                (np.split(_piece_form(c.knots.tobytes(), c.degree).gauss_basis.T, 2),
                  gauss, 1),
                 (piece_basis(c.knots, c.degree, grid, curv_order), grid,
                  curv_order)):

@@ -294,6 +294,35 @@ def test_batch_kernel_zero_tangent_takes_offset_curvature():
                                                   1e-12)), (got, ref)
 
 
+def test_piece_form_cache_builds_each_knot_vector_once(monkeypatch):
+    # Two snapshot-style cycles (cut, search, verify), each on a fresh
+    # start-of-leg path as the benchmark builds them. A fresh path has no
+    # coefficients of its own, so the second cycle reads the leg-start
+    # knot vector's entry again after the first cycle's cut: the cache
+    # must keep both, and builds each knot vector's entry once.
+    cached = geometry._piece_form
+    keys = []
+
+    def spy(knots_bytes, degree):
+        keys.append(knots_bytes)
+        return cached(knots_bytes, degree)
+
+    monkeypatch.setattr(geometry, "_piece_form", spy)
+    cached.cache_clear()
+    config = fast_config(optimizer=OptimizerConfig(budget=40, n_init=20))
+    w0 = Waypoint(position=np.array([0.0, 0.0]), heading=0.3)
+    w1 = Waypoint(position=np.array([200.0, 20.0]), heading=-0.2)
+    for arc in (0.0, 60.0):
+        path = initial_path(w0, w1, config)
+        c0, c1 = path.derivatives(path.param_at_length(arc), order=1)
+        state = UavState(position=c0[0], heading=math.atan2(c1[0, 1], c1[0, 0]),
+                         speed=15.0)
+        result = replan_cycle(path, state, [], config, seed=0)
+        assert result.evals > 0
+    assert len(set(keys)) == 3  # the leg start and two cuts
+    assert cached.cache_info().misses == len(set(keys))
+
+
 # -- single replan cycles --------------------------------------------------
 
 def test_replan_clear_world_keeps_near_straight_path():

@@ -18,8 +18,8 @@ def test_obstacle_inactive_before_spawn():
     world = World(dynamics=[d])
     assert not d.active(1.0)
     assert world.sense([5.0, 0.0], r_view=100.0) == []
-    assert world.check_collision([5.0, 0.0], r_u=0.0, r_safe=1.0) is None
-    assert world.min_clearance([5.0, 0.0], 0.0, 1.0) == float("inf")
+    assert world.check_collision([5.0, 0.0], margin=1.0) is None
+    assert world.min_clearance([5.0, 0.0], 1.0) == float("inf")
     world.step(2.5)
     assert len(world.sense([5.0, 0.0], r_view=100.0)) == 1
     # Position is measured from the spawn time, not the world epoch.
@@ -58,23 +58,23 @@ def test_visible_statics_known_and_discovered():
 
 def test_collision_boundary_is_strict():
     world = World(statics=[StaticObstacle(center=[10.0, 0.0], radius=2.0)])
-    # distance 5 equals radius 2 + r_safe 3 exactly: no collision.
-    assert world.check_collision([15.0, 0.0], r_u=0.0, r_safe=3.0) is None
-    event = world.check_collision([14.9, 0.0], r_u=0.0, r_safe=3.0)
+    # distance 5 equals radius 2 + margin 3 exactly: no collision.
+    assert world.check_collision([15.0, 0.0], margin=3.0) is None
+    event = world.check_collision([14.9, 0.0], margin=3.0)
     assert isinstance(event, CollisionEvent)
     assert not event.dynamic
     assert event.penetration == pytest.approx(0.1)
 
 
 def test_collision_empty_world_is_none():
-    assert World().check_collision([0.0, 0.0], 0.0, 1.0) is None
+    assert World().check_collision([0.0, 0.0], 1.0) is None
 
 
 def test_min_clearance_signed():
     world = World(statics=[StaticObstacle(center=[10.0, 0.0], radius=2.0)])
-    assert world.min_clearance([0.0, 0.0], r_u=0.0, r_safe=3.0) == \
+    assert world.min_clearance([0.0, 0.0], margin=3.0) == \
         pytest.approx(5.0)
-    assert world.min_clearance([14.0, 0.0], r_u=0.0, r_safe=3.0) == \
+    assert world.min_clearance([14.0, 0.0], margin=3.0) == \
         pytest.approx(-1.0)
 
 
@@ -118,8 +118,8 @@ def test_collision_event_exactly_when_clearance_negative():
     named = set()
     for _ in range(200):
         pos = centers[rng.integers(len(centers))] + rng.uniform(-9.0, 9.0, 2)
-        event = world.check_collision(pos, r_u=0.5, r_safe=3.0)
-        clearance = world.min_clearance(pos, r_u=0.5, r_safe=3.0)
+        event = world.check_collision(pos, margin=3.5)
+        clearance = world.min_clearance(pos, margin=3.5)
         assert (event is not None) == (clearance < 0.0)
         if event is not None:
             obs = (movers if event.dynamic else statics)[event.obstacle_index]
