@@ -9,11 +9,11 @@ is a pure function and safe to call concurrently.
 Curves are evaluated in one form, the piecewise Bezier form of
 `piece_map`: per piece, the Bernstein coefficients of the curve and of
 its first two derivatives, so a query is a piece lookup (`locate_piece`)
-and one Bernstein evaluation. That table, the length basis and the
-value map below depend on the knot vector alone, so its first query
-builds all three into one cached entry (`_piece_form`). Each cut makes a
-new knot vector, and the cache keeps the last two. Cox-de Boor
-(`basis_matrices`) is read only at the piece ends, to build that table.
+and one Bernstein evaluation. That table and the length basis below
+depend on the knot vector alone, so its first query builds both into
+one cached entry (`_piece_form`). Each cut makes a new knot vector, and
+the cache keeps the last two. Cox-de Boor (`basis_matrices`) is read
+only at the piece ends, to build that table.
 The evaluation has two implementations on the same coefficients: numpy
 arrays for many parameters at once (`piece_derivatives`,
 `NurbsCurve._derivs`, and `piece_basis`, which the planner uses to read
@@ -214,17 +214,16 @@ def locate_length(cum: np.ndarray,
 
 class _PieceForm(NamedTuple):
     """What every curve on one knot vector shares (`_piece_form`): the
-    piece edges (K + 1,) and the (K, L, n) piece table; the half widths
-    (K,) of the pieces and the (n, 10K) basis at their Gauss nodes, read
-    by `edge_lengths`; and the width W and the (n, K * W) value map read
-    by `batch_piece_coefficients`."""
+    piece edges (K + 1,) and the (K, L, n) piece table, read by curves
+    and by `batch_piece_coefficients`; and the half widths (K,) of the
+    pieces and the (n, 10K) basis at their Gauss nodes, read by
+    `edge_lengths`. For a cubic that is 19 floats per piece and control
+    point: 9 table terms, and B and B' at 5 Gauss nodes."""
 
     edges: np.ndarray
     table: np.ndarray
     half: np.ndarray
     gauss_basis: np.ndarray
-    width: int
-    value_map: np.ndarray
 
 
 # Two entries, sized by measured traffic (budget mode, seed 0). In a
@@ -266,8 +265,6 @@ def _piece_form(knots_bytes: bytes, degree: int) -> _PieceForm:
     of Bernstein weights (`piece_derivatives`), with no piece lookup. It is
     stored transposed and contiguous, so one product with the control
     points gives the homogeneous curve and its derivative at every node.
-    The value map holds the curve and first-derivative blocks of every
-    piece, piece-major.
     """
     knots = np.frombuffer(knots_bytes, dtype=float)
     edges = np.unique(np.concatenate([knots, np.linspace(0.0, 1.0, 41)]))
@@ -299,12 +296,10 @@ def _piece_form(knots_bytes: bytes, degree: int) -> _PieceForm:
     mats = piece_derivatives(table.transpose(0, 2, 1)[:, None],
                              0.5 + 0.5 * nodes[:, None], degree, 1)
     gauss_basis = np.ascontiguousarray(np.stack(mats).reshape(-1, n).T)
-    width = int(_bernstein_layout(degree)[2][1])
-    value_map = table[:, :width].reshape(-1, n).T
     half = 0.5 * np.diff(edges)
-    for arr in (edges, table, half, gauss_basis, value_map):
+    for arr in (edges, table, half, gauss_basis):
         arr.setflags(write=False)
-    return _PieceForm(edges, table, half, gauss_basis, width, value_map)
+    return _PieceForm(edges, table, half, gauss_basis)
 
 
 def piece_map(knots: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -319,14 +314,17 @@ def batch_piece_coefficients(knots: np.ndarray, degree: int,
     """`NurbsCurve.piece_coefficients` for P curves on one knot vector.
 
     `hom_rows` (3P, n) holds their homogeneous control points as in
-    `edge_lengths`. Returns a function of k giving the curve and
-    first-derivative coefficients of the first k pieces of every curve,
-    shape (3, P * k, W), path-major: one product with the control points,
-    over the columns of those k pieces only.
+    `edge_lengths`. Returns a function of k giving the coefficients of
+    the first k pieces of every curve, every block of the `piece_map`
+    layout included: shape (3, P * k, L), path-major. It is one product
+    of the control points with the first k pieces of the piece table,
+    read in place through a transposed view, not copied.
     """
-    form = _piece_form(knots.tobytes(), degree)
-    return lambda k: (hom_rows @ form.value_map[:, : k * form.width]).reshape(
-        3, -1, form.width)
+    table = _piece_form(knots.tobytes(), degree).table
+    _, n_terms, n = table.shape
+    by_column = table.reshape(-1, n).T
+    return lambda k: (hom_rows @ by_column[:, : k * n_terms]).reshape(
+        3, -1, n_terms)
 
 
 @lru_cache(maxsize=8)
@@ -435,10 +433,11 @@ def derivatives_at_lengths(cum: np.ndarray, coefs, degree: int,
     `cum` (P, K + 1) is their length grid (`edge_lengths`), every arc
     within [0, cum[p, -1]], so an arc's piece and local parameter come
     from `locate_length`. `coefs(k)` gives the coefficients of the first
-    k pieces of every curve, (3, P * k, W), path-major, holding at least
-    the curve and first-derivative blocks: `NurbsCurve.piece_coefficients`
-    for one curve, `batch_piece_coefficients` for a batch. It is asked
-    only for the pieces that some arc reaches.
+    k pieces of every curve in the `piece_map` layout, (3, P * k, L),
+    path-major: `NurbsCurve.piece_coefficients` for one curve,
+    `batch_piece_coefficients` for a batch. It is asked only for the
+    pieces that some arc reaches, and only the curve and first-derivative
+    blocks are read.
     """
     # Each row reaches a prefix of the interior edges, so their union
     # counts the pieces past the first that some arc reaches.

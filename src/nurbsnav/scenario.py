@@ -37,10 +37,20 @@ def _as_float(value) -> float:
         return math.inf
 
 
+# Every number in a scenario is a length, time, speed or angle in SI
+# units, at most this large in magnitude. The planner forms squares and
+# cubes of products of a few of them, so larger values overflow to inf or
+# NaN mid-mission.
+MAX_MAGNITUDE = 1e9
+
+
 def _number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not math.isfinite(_as_float(value)):
         raise ScenarioError(f"{context}: expected a finite number, got {value!r}")
+    if abs(value) > MAX_MAGNITUDE:
+        raise ScenarioError(f"{context}: must be at most {MAX_MAGNITUDE:g} "
+                            f"in magnitude, got {value!r}")
     return float(value)
 
 
@@ -48,6 +58,17 @@ def _positive(value, context: str) -> float:
     out = _number(value, context)
     if out <= 0.0:
         raise ScenarioError(f"{context}: must be positive, got {value!r}")
+    return out
+
+
+def _curvature(value, context: str) -> float:
+    """A curvature bound, 1/m: positive, with a turning radius 1 / value
+    of at most MAX_MAGNITUDE, which sets the spacing of a heading path's
+    end points."""
+    out = _positive(value, context)
+    if out * MAX_MAGNITUDE < 1.0:
+        raise ScenarioError(
+            f"{context}: turning radius 1 / {value!r} exceeds {MAX_MAGNITUDE:g} m")
     return out
 
 
@@ -103,11 +124,11 @@ def _point(value, context: str) -> np.ndarray:
 # The integer settings that size memory have an upper bound; `budget` and
 # `max_steps` cost time only and have none.
 _PLANNER_KEYS = {"T_s": ("t_replan", _number), "tau": ("tau", _number),
-                 # A knot vector's cached entry (piece table, length basis
-                 # and value map) holds about K * 26 * n floats, with
+                 # A knot vector's cached entry (piece table and length
+                 # basis) holds about K * 19 * n floats, with
                  # K ~ n_interior + 45 pieces and n = n_interior + 8 points,
-                 # and two entries are kept: ~3.2 MB an entry at 100,
-                 # ~220 MB at 1,000.
+                 # and two entries are kept: ~2.3 MB an entry at 100,
+                 # ~160 MB at 1,000.
                  "n_interior": ("n_interior", _at_least(1, 100)),
                  "waypoint_tolerance": ("waypoint_tolerance", _positive),
                  "budget_mode": ("budget_mode", _boolean)}
@@ -162,7 +183,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     start = _point(_require(uav, "start", "uav"), "uav.start")
     heading = _number(_require(uav, "heading", "uav"), "uav.heading")
     speed = _positive(_require(uav, "speed", "uav"), "uav.speed")
-    kappa_max = _positive(_require(uav, "kappa_max", "uav"), "uav.kappa_max")
+    kappa_max = _curvature(_require(uav, "kappa_max", "uav"), "uav.kappa_max")
     r_safe = _positive(_require(uav, "r_safe", "uav"), "uav.r_safe")
     r_view = _positive(_require(uav, "r_view", "uav"), "uav.r_view")
     own_radius = _given(uav, {"r_u": ("r_u", _non_negative)}, "uav")

@@ -165,6 +165,76 @@ def test_invalid_field_exit_code(tmp_path, capsys, data, field):
     assert f"error: {field}" in capsys.readouterr().err
 
 
+def _with_obstacles() -> dict:
+    return tiny_scenario(
+        static_obstacles=[{"center": [50.0, 30.0], "radius": 2.0}],
+        dynamic_obstacles=[{"pos": [60.0, 40.0], "vel": [0.0, -1.0],
+                            "radius": 1.5, "spawn_time": 0.5}])
+
+
+# One out-of-bound value per bounded field: lengths, times, speeds and
+# angles beyond 1e9 in magnitude, and a turning radius 1 / kappa_max beyond
+# 1e9 m. The kappa_max, speed and dt values overflowed mid-mission before
+# they were bounded.
+BOUNDED_FIELDS = [
+    ("uav", "start", [1e10, 0.0], "uav.start"),
+    ("uav", "heading", -1e10, "uav.heading"),
+    ("uav", "speed", 1e200, "uav.speed"),
+    ("uav", "kappa_max", 1e-200, "uav.kappa_max"),
+    ("uav", "r_safe", 1e10, "uav.r_safe"),
+    ("uav", "r_view", 1e10, "uav.r_view"),
+    ("uav", "r_u", 1e10, "uav.r_u"),
+    ("waypoints", "pos", [1e10, 0.0], "waypoints[0].pos"),
+    ("waypoints", "heading", 1e10, "waypoints[0].heading"),
+    ("static_obstacles", "center", [0.0, -1e10], "static_obstacles[0].center"),
+    ("static_obstacles", "radius", 1e10, "static_obstacles[0].radius"),
+    ("dynamic_obstacles", "pos", [-1e10, 0.0], "dynamic_obstacles[0].pos"),
+    ("dynamic_obstacles", "vel", [0.0, 1e200], "dynamic_obstacles[0].vel"),
+    ("dynamic_obstacles", "radius", 1e10, "dynamic_obstacles[0].radius"),
+    ("dynamic_obstacles", "spawn_time", -1e10,
+     "dynamic_obstacles[0].spawn_time"),
+    ("planner", "T_s", 1e10, "planner.T_s"),
+    ("planner", "tau", 1e10, "planner.tau"),
+    ("planner", "waypoint_tolerance", 1e10, "planner.waypoint_tolerance"),
+    ("sim", "dt", 1e200, "sim.dt"),
+]
+
+
+@pytest.mark.parametrize("mode", ["validate", "mission"])
+@pytest.mark.parametrize("section, key, value, field", BOUNDED_FIELDS,
+                         ids=[f for *_, f in BOUNDED_FIELDS])
+def test_extreme_values_exit_bad_input(tmp_path, capsys, mode, section, key,
+                                       value, field):
+    data = _with_obstacles()
+    node = data[section]
+    (node[0] if isinstance(node, list) else node)[key] = value
+    path = write_scenario(tmp_path, data)
+    out = tmp_path / "out"
+    # A RuntimeWarning raised on the way fails the test: the suite turns
+    # them into errors.
+    code = main(["--scenario", str(path), "--mode", mode, "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_values_at_their_bounds_fly_finite(tmp_path, capsys):
+    data = tiny_scenario()
+    data["uav"].update(kappa_max=1e-9, speed=1e9)
+    data["sim"].update(dt=1e9, max_steps=20)
+    path = write_scenario(tmp_path, data)
+    out = tmp_path / "out"
+    code = main(["--scenario", str(path), "--mode", "validate"])
+    assert code == EXIT_OK
+    code = main(["--scenario", str(path), "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_MISSION_FAILED)
+    metrics = json.loads((out / "metrics.json").read_text(),
+                         parse_constant=lambda name: pytest.fail(name))
+    assert np.isfinite(metrics["executed_path_length"])
+    capsys.readouterr()
+
+
 # Replacement values for the mutation test: wrong types, out-of-range and
 # non-finite numbers, strings that look like booleans, malformed containers.
 JUNK = [None, True, False, 0, -1, 2.5, 1e9, float("nan"), float("inf"), "x",

@@ -323,6 +323,35 @@ def test_piece_form_cache_builds_each_knot_vector_once(monkeypatch):
     assert cached.cache_info().misses == len(set(keys))
 
 
+def test_batch_coefficients_read_the_piece_table_in_place():
+    # The cached entry holds the piece table once: the batch coefficients
+    # are the table's product with the candidates' control points, every
+    # block included, as one curve's own coefficients are.
+    rng = np.random.default_rng(5)
+    for base, _, _, config in _kernel_cases():
+        form = geometry._piece_form(base.knots.tobytes(), base.degree)
+        assert form._fields == ("edges", "table", "half", "gauss_basis")
+        n_piece, n_terms, n = form.table.shape
+        # 19 floats per piece and control point for a cubic (9 table terms,
+        # B and B' at 5 Gauss nodes); a copy of the curve and C' blocks
+        # of the table made it 26.
+        assert sum(a.size for a in form) == 19 * n_piece * n + 2 * n_piece + 1
+        lower, upper = delta_bounds(base, config)
+        xs = _kernel_candidates(base, lower, upper, rng)
+        rows = geometry.apply_delta_batch(base, xs)
+        got = geometry.batch_piece_coefficients(base.knots, base.degree,
+                                                rows)(n_piece)
+        # Relative to the sum of the magnitudes each coefficient adds up,
+        # since some coefficients cancel to near zero.
+        scale = np.abs(rows) @ np.abs(form.table).reshape(-1, n).T
+        shape = (3, len(xs), n_piece, n_terms)
+        got, scale = got.reshape(shape), scale.reshape(shape)
+        for p, x in enumerate(xs):
+            ref = geometry.apply_delta(base, x).piece_coefficients(n_piece)
+            assert ref.shape == (3, n_piece, n_terms)
+            assert np.all(np.abs(got[:, p] - ref) <= 1e-12 * scale[:, p])
+
+
 # -- single replan cycles --------------------------------------------------
 
 def test_replan_clear_world_keeps_near_straight_path():
