@@ -32,11 +32,13 @@ independent reference.
 
 This module alone knows how a curve is sampled: the piece table, its
 coefficient layout and the length grid. Samples at given arc lengths
-come from `derivatives_at_lengths`, which finds each one's piece on the
-length grid and evaluates it from a coefficient source:
-`NurbsCurve.piece_coefficients` for one curve, `batch_piece_coefficients`
-for the search kernel's candidates. The velocity-obstacle rule decides
-where the samples go; this module places and evaluates them.
+come from `derivatives_at_lengths`, which takes control-point rows as
+`edge_lengths` does (one curve's `homogeneous.T`, or the search kernel's
+candidates), finds each sample's piece on the length grid and evaluates
+it from the coefficients `batch_piece_coefficients` gives those rows:
+one source for the search and its verification alike. The
+velocity-obstacle rule decides where the samples go; this module places
+and evaluates them.
 
 The planner's decision vector is stated here and nowhere else. On a
 heading path of n control points, the PINNED points at each end (the
@@ -310,21 +312,19 @@ def piece_map(knots: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def batch_piece_coefficients(knots: np.ndarray, degree: int,
-                             hom_rows: np.ndarray):
-    """`NurbsCurve.piece_coefficients` for P curves on one knot vector.
+                             hom_rows: np.ndarray, k: int) -> np.ndarray:
+    """Bernstein coefficients of the first k pieces of P curves on one
+    knot vector, every block of the `piece_map` layout included.
 
     `hom_rows` (3P, n) holds their homogeneous control points as in
-    `edge_lengths`. Returns a function of k giving the coefficients of
-    the first k pieces of every curve, every block of the `piece_map`
-    layout included: shape (3, P * k, L), path-major. It is one product
-    of the control points with the first k pieces of the piece table,
-    read in place through a transposed view, not copied.
+    `edge_lengths`. Returns shape (3, P * k, L), path-major. It is one
+    product of the control points with the first k pieces of the piece
+    table, read in place through a transposed view, not copied.
     """
     table = _piece_form(knots.tobytes(), degree).table
     _, n_terms, n = table.shape
     by_column = table.reshape(-1, n).T
-    return lambda k: (hom_rows @ by_column[:, : k * n_terms]).reshape(
-        3, -1, n_terms)
+    return (hom_rows @ by_column[:, : k * n_terms]).reshape(3, -1, n_terms)
 
 
 @lru_cache(maxsize=8)
@@ -425,26 +425,25 @@ def edge_lengths(knots: np.ndarray, degree: int,
                           axis=1)
 
 
-def derivatives_at_lengths(cum: np.ndarray, coefs, degree: int,
+def derivatives_at_lengths(knots: np.ndarray, degree: int,
+                           hom_rows: np.ndarray, cum: np.ndarray,
                            arcs: np.ndarray) -> list:
     """Points and tangents [C, C'], components first (2, P, m), of P
     curves on one knot vector at the arc lengths `arcs` (P, m).
 
-    `cum` (P, K + 1) is their length grid (`edge_lengths`), every arc
-    within [0, cum[p, -1]], so an arc's piece and local parameter come
-    from `locate_length`. `coefs(k)` gives the coefficients of the first
-    k pieces of every curve in the `piece_map` layout, (3, P * k, L),
-    path-major: `NurbsCurve.piece_coefficients` for one curve,
-    `batch_piece_coefficients` for a batch. It is asked only for the
-    pieces that some arc reaches, and only the curve and first-derivative
-    blocks are read.
+    `hom_rows` (3P, n) holds their homogeneous control points as in
+    `edge_lengths`, and `cum` (P, K + 1) is their length grid from it,
+    every arc within [0, cum[p, -1]], so an arc's piece and local
+    parameter come from `locate_length`. `batch_piece_coefficients` gives
+    the coefficients of only the pieces that some arc reaches, and only
+    their curve and first-derivative blocks are read.
     """
     # Each row reaches a prefix of the interior edges, so their union
     # counts the pieces past the first that some arc reaches.
     n_piece = 1 + int(np.count_nonzero(
         (cum[:, 1:-1] <= arcs.max(axis=1, keepdims=True)).any(axis=0)))
     idx, frac = locate_length(cum[:, : n_piece + 1], arcs)
-    coef = np.take(coefs(n_piece),
+    coef = np.take(batch_piece_coefficients(knots, degree, hom_rows, n_piece),
                    idx + n_piece * np.arange(cum.shape[0])[:, None], axis=1)
     return rational_derivatives(piece_derivatives(coef, frac, degree, 1))
 
@@ -521,13 +520,6 @@ class NurbsCurve:
         edges, table = piece_map(self.knots, self.degree)
         coef = np.moveaxis(table @ self.homogeneous, -1, 0)
         return edges, np.ascontiguousarray(coef)
-
-    def piece_coefficients(self, n_pieces: int) -> np.ndarray:
-        """Bernstein coefficients of the homogeneous curve and its first
-        two derivatives on the first n_pieces pieces, components first:
-        shape (3, n_pieces, L) in the layout of `piece_map`. The
-        coefficient source `derivatives_at_lengths` takes for one curve."""
-        return self._pieces[1][:, :n_pieces]
 
     @cached_property
     def _piece_lists(self) -> tuple[list, list]:

@@ -21,7 +21,7 @@ from . import geometry, velocity_obstacle
 from .geometry import HeadingSpec, NurbsCurve
 from .lshade import OptimizerConfig, ProblemDef, optimize
 from .tracking import (UavState, heading_rate_command, step_dubins,
-                       vector_field)
+                       vector_field, wrap_angle)
 from .velocity_obstacle import path_vo_violation
 from .world import SimLog, World
 
@@ -123,7 +123,7 @@ def initial_path(wp_from: Waypoint, wp_to: Waypoint,
     # an endpoint can only stretch along the heading, so a long spacing
     # would leave the near portion of the path unable to move sideways.
     lam0 = min(0.25 * rho, 0.1 * chord)
-    lam0 = min(max(lam0, 0.05 * rho), 2.0 * rho)
+    lam0 = max(lam0, 0.05 * rho)
     spec = HeadingSpec(gamma_init=wp_from.heading, gamma_goal=wp_to.heading,
                        lam1=lam0, lam2=lam0)
     return geometry.build_path_with_headings(wp_from.position, wp_to.position,
@@ -193,10 +193,11 @@ def _curvature_excess(kappa: np.ndarray, kappa_max: float) -> np.ndarray:
 def _sampled_violations(candidate: NurbsCurve, statics, dynamics,
                         config: PlannerConfig, speed: float,
                         density: int) -> tuple[np.ndarray, np.ndarray]:
-    """constraint_violations with `density` times as many curvature-grid
-    and VO samples, and the curvatures on that grid: the search kernel's
-    rules applied to one curve."""
-    grid = np.linspace(0.0, 1.0, density * N_CURV_SAMPLES)
+    """constraint_violations with each gap between curvature-grid and
+    between VO samples split into `density` gaps, and the curvatures on
+    that grid: the search kernel's rules applied to one curve. The
+    search's own samples are among them, bit for bit."""
+    grid = np.linspace(0.0, 1.0, density * (N_CURV_SAMPLES - 1) + 1)
     c0, kappa = candidate.positions_and_curvatures(grid)
     v = np.zeros(3)
     v[0] = _static_violation(c0.T[:, None], *_static_discs(statics, config))[0]
@@ -206,14 +207,15 @@ def _sampled_violations(candidate: NurbsCurve, statics, dynamics,
         v[2] = path_vo_violation(candidate, speed, dynamics,
                                  r_u=config.margin,
                                  tau=config.tau,
-                                 n_samples=density * N_VO_SAMPLES)
+                                 n_samples=density * (N_VO_SAMPLES - 1) + 1)
     return v, kappa
 
 
 def _verify(candidate: NurbsCurve, statics, dynamics, config: PlannerConfig,
             speed: float) -> tuple[bool, dict]:
-    """Re-check all constraint families at 4x sampling density; the
-    curvature peak search starts from the same grid's curvatures."""
+    """Re-check all constraint families at 4x sampling density: 253
+    curvature-grid and 77 VO samples, which hold the search's 64 and 20.
+    The curvature peak search starts from the same grid's curvatures."""
     v, kappa = _sampled_violations(candidate, statics, dynamics, config,
                                    speed, 4)
     if not config.disable_curvature:
@@ -236,10 +238,10 @@ class _CycleKernel:
     come from `geometry.edge_lengths`, the one length routine, which the
     curve's own `total_length` also uses; the basis on the curvature
     grid, which static clearance shares, is read from the table here; and
-    `geometry.batch_piece_coefficients` gives the coefficients of the
-    pieces the VO samples reach. The samples are scored by
-    the rules `constraint_violations` applies to one curve:
-    `_static_violation`, `_curvature_excess` and
+    the VO samples come from the rows themselves, which
+    `velocity_obstacle.path_depth` takes as it takes one curve's. The
+    samples are scored by the rules `constraint_violations` applies to
+    one curve: `_static_violation`, `_curvature_excess` and
     `velocity_obstacle.path_depth`. Agrees with apply_delta +
     total_length + constraint_violations to rounding. Rows are applied as
     given, unclipped: the optimizer keeps them inside `delta_bounds`.
@@ -282,8 +284,8 @@ class _CycleKernel:
             v[:, 1] = _curvature_excess(kappa, config.kappa_max)
         if self.movers is not None:
             v[:, 2] = velocity_obstacle.path_depth(
-                cum, geometry.batch_piece_coefficients(knots, degree, hom_rows),
-                degree, self.speed, self.movers, config.tau, N_VO_SAMPLES)
+                knots, degree, hom_rows, cum, self.speed, self.movers,
+                config.tau, N_VO_SAMPLES)
         return lengths, v
 
 
@@ -450,7 +452,10 @@ def mission_loop(waypoints: list, world: World, config: PlannerConfig,
             leg_steps += 1
             total_steps += 1
         else:
-            log.waypoint_times.append({"waypoint": wp_idx, "t": world.clock})
+            # The paper's desired orientation, recorded but not required.
+            log.waypoint_times.append({
+                "waypoint": wp_idx, "t": world.clock,
+                "heading_error": wrap_angle(state.heading - target.heading)})
             continue
         break  # step cap or collision
 
@@ -485,4 +490,5 @@ def _finalize(log: SimLog) -> None:
         "total_evals": int(sum(r["evals"] for r in log.replans)),
         "collision_count": len(log.collisions),
         "sim_time": log.times[-1] - log.times[0] if log.times else 0.0,
+        "arrivals": list(log.waypoint_times),
     }

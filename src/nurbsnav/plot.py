@@ -44,11 +44,13 @@ def emit_plot(log, world, waypoints, path) -> None:
     for s in world.statics:
         points.append(s.center[None, :] + np.array([[s.radius, s.radius],
                                                     [-s.radius, -s.radius]]))
+    # A mover is drawn only where the log has seen it: one that spawns
+    # after the log ends is left out, and does not stretch the canvas.
     t0, t1 = log.times[0], log.times[-1]
-    for d in world.dynamics:
-        for t in np.linspace(max(t0, d.spawn_time), max(t1, d.spawn_time),
-                             TRAIL_STEPS):
-            points.append(d.position(t)[None, :])
+    trails = [(d, np.linspace(max(t0, d.spawn_time), t1, TRAIL_STEPS))
+              for d in world.dynamics if d.active(t1)]
+    for d, times in trails:
+        points.extend(d.position(t)[None, :] for t in times)
     for wp in waypoints:
         points.append(np.asarray(wp.position, dtype=float)[None, :])
     allpts = np.vstack(points)
@@ -65,9 +67,7 @@ def emit_plot(log, world, waypoints, path) -> None:
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
             f'r="{_fmt(s.radius * frame.scale)}" fill="#b0b0b0" '
             f'stroke="#606060"/>')
-    for d in world.dynamics:
-        times = np.linspace(max(t0, d.spawn_time), max(t1, d.spawn_time),
-                            TRAIL_STEPS)
+    for d, times in trails:
         for i, t in enumerate(times):
             cx, cy = frame.to_canvas(d.position(t))
             opacity = 0.15 + 0.85 * (i / max(TRAIL_STEPS - 1, 1))

@@ -15,10 +15,10 @@ a fixed number of array operations on (K, P, J) arrays.
 One sampling rule serves every path, and it is the only curve knowledge
 here: `path_depth` spreads the samples uniformly over the first
 min(speed * tau, length) metres and times them at arc length / speed;
-`geometry.derivatives_at_lengths` finds and evaluates them. The planner's
-search kernel passes a chunk of candidates' length grids with
-`geometry.batch_piece_coefficients`; `path_vo_violation` passes one
-curve's `length_grid` and `piece_coefficients`.
+`geometry.derivatives_at_lengths` finds and evaluates them. Both callers
+pass control-point rows and their length grids: the planner's search
+kernel a chunk of candidates', `path_vo_violation` one curve's
+`homogeneous.T` and `length_grid`.
 """
 
 from __future__ import annotations
@@ -147,35 +147,32 @@ def in_truncated_vo(v_u, p_u, obs: ObstacleState, r_u: float,
                    depth=(tau - t_star) / tau)
 
 
-def path_depth(cum: np.ndarray, piece_coefs, degree: int, speed: float,
+def path_depth(knots, degree: int, hom_rows, cum, speed: float,
                obstacles: tuple, tau: float, n_samples: int) -> np.ndarray:
-    """Truncated-VO depth (P,) of P paths flown at `speed`.
+    """Truncated-VO depth (P,) of P paths on one knot vector flown at
+    `speed`, from their control-point rows (3P, n) and length grids
+    (P, E), which `geometry.derivatives_at_lengths` takes as they are.
 
     Each path is sampled n_samples times uniformly in arc length up to
     min(speed * tau, its length), at time arclen / speed; `vo_depth`
-    scores the samples against `obstacles` (from obstacle_arrays). The
-    paths' length grids `cum` (P, E), their coefficient source
-    `piece_coefs` and `degree` are what
-    `geometry.derivatives_at_lengths` takes to place the samples.
+    scores the samples against `obstacles` (from obstacle_arrays).
     """
     arc_end = np.minimum(speed * tau, cum[:, -1])
     arcs = arc_end[:, None] * np.linspace(0.0, 1.0, n_samples)
-    pos, tan = derivatives_at_lengths(cum, piece_coefs, degree, arcs)
+    pos, tan = derivatives_at_lengths(knots, degree, hom_rows, cum, arcs)
     return vo_depth(pos, tan, arcs / speed, speed, obstacles, tau)
 
 
 def path_vo_violation(curve: NurbsCurve, speed: float, obstacles,
                       r_u: float, tau: float, n_samples: int) -> float:
     """Total truncated-VO violation depth along the first speed * tau
-    metres of the path (all of it, when shorter).
-
-    `path_depth` on the curve's own length grid and piece coefficients,
-    with n_samples samples (planner.N_VO_SAMPLES in
-    constraint_violations). Zero iff the sampled constraint holds.
+    metres of the path (all of it, when shorter): `path_depth` on the
+    curve's own control points and length grid, with n_samples samples
+    (planner.N_VO_SAMPLES in constraint_violations). Zero iff the sampled
+    constraint holds.
     """
     if n_samples < 2:
         raise ValueError("need at least two VO samples")
-    _, cum = curve.length_grid
-    return float(path_depth(cum[None], curve.piece_coefficients, curve.degree,
-                            speed, obstacle_arrays(obstacles, r_u), tau,
-                            n_samples)[0])
+    return float(path_depth(curve.knots, curve.degree, curve.homogeneous.T,
+                            curve.length_grid[1][None], speed,
+                            obstacle_arrays(obstacles, r_u), tau, n_samples)[0])

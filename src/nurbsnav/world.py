@@ -132,6 +132,8 @@ class SimLog:
     replans: list = field(default_factory=list)  # dict summaries per cycle
     curves: list = field(default_factory=list)  # serialized activated curves
     collisions: list = field(default_factory=list)
+    # {"waypoint", "t", "heading_error"} per waypoint reached; the error is
+    # the signed arrival heading minus the waypoint heading, rad.
     waypoint_times: list = field(default_factory=list)
     success: bool = False
     metrics: dict = field(default_factory=dict)

@@ -10,6 +10,9 @@ import pytest
 
 from nurbsnav.cli import (CSV_HEADER, EXIT_BAD_INPUT, EXIT_MISSION_FAILED,
                           EXIT_OK, main)
+from nurbsnav.planner import Waypoint
+from nurbsnav.plot import CANVAS_H, CANVAS_W, TRAIL_STEPS, emit_plot
+from nurbsnav.world import DynamicObstacle, SimLog, World
 
 
 def tiny_scenario(**extra) -> dict:
@@ -301,6 +304,11 @@ def test_mission_mode_outputs(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["success"] is True
     assert metrics["collision_count"] == 0
+    # The arrival's heading error is that of the trajectory row at its time.
+    (arrival,) = metrics["arrivals"]
+    assert arrival["waypoint"] == 1
+    (row,) = [r for r in floats if r[0] == float(f"{arrival['t']:.9g}")]
+    assert arrival["heading_error"] == pytest.approx(row[3], rel=0, abs=1e-8)
 
     with open(out / "curves.jsonl") as fh:
         curves = [json.loads(line) for line in fh]
@@ -370,6 +378,30 @@ def test_plot_is_wellformed_svg(tmp_path):
     root = ET.parse(svg).getroot()
     assert root.tag.endswith("svg")
     assert float(root.get("width").rstrip("px")) > 0
+
+
+def test_plot_leaves_out_movers_that_spawn_after_the_log(tmp_path):
+    # In a 1 s log a mover spawning at 50 s is never seen: the plot draws
+    # the waypoints and the live mover's trail, and its canvas ignores the
+    # late mover's far-off spawn point.
+    log = SimLog(times=[0.0, 0.5, 1.0],
+                 positions=[np.array([0.0, 0.0]), np.array([7.5, 0.0]),
+                            np.array([15.0, 0.0])])
+    world = World(dynamics=[
+        DynamicObstacle(position0=[10.0, -5.0], velocity=[0.0, 2.0],
+                        radius=1.0),
+        DynamicObstacle(position0=[5000.0, 5000.0], velocity=[1.0, 0.0],
+                        radius=1.0, spawn_time=50.0)])
+    waypoints = [Waypoint(position=np.array([0.0, 0.0]), heading=0.0),
+                 Waypoint(position=np.array([15.0, 0.0]), heading=0.0)]
+    svg = tmp_path / "plot.svg"
+    emit_plot(log, world, waypoints, svg)
+    circles = list(ET.parse(svg).getroot().iter(
+        "{http://www.w3.org/2000/svg}circle"))
+    assert len(circles) == len(waypoints) + TRAIL_STEPS
+    for c in circles:
+        assert 0.0 <= float(c.get("cx")) <= CANVAS_W
+        assert 0.0 <= float(c.get("cy")) <= CANVAS_H
 
 
 def test_seed_flag_overrides_scenario_seed(tmp_path):

@@ -432,8 +432,8 @@ def test_length_samples_on_grid_edges_are_piece_edge_points():
     # where the sampled points are the curve's points bit for bit.
     for c in piecewise_cases():
         edges, cum = c.length_grid
-        pos, _ = derivatives_at_lengths(cum[None], c.piece_coefficients,
-                                        c.degree, cum[None])
+        pos, _ = derivatives_at_lengths(c.knots, c.degree, c.homogeneous.T,
+                                        cum[None], cum[None])
         assert np.array_equal(pos[:, 0].T, c.point(edges))
 
 

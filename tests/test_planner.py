@@ -13,7 +13,7 @@ from nurbsnav import geometry, lshade
 from nurbsnav.geometry import NurbsCurve
 from nurbsnav.lshade import OptimizerConfig
 from nurbsnav.planner import (PlannerConfig, Waypoint, _CycleKernel,
-                              constraint_violations,
+                              _verify, constraint_violations,
                               cut_path_at_projection, delta_bounds,
                               initial_path, mission_loop, replan_cycle)
 from nurbsnav.scenario import ScenarioError, load_scenario, parse_scenario
@@ -136,6 +136,25 @@ def test_violations_flag_excess_curvature():
     curve = initial_path(w0, w1, config)
     _, v_curv, _ = constraint_violations(curve, [], [], config, speed=15.0)
     assert v_curv > 0.0
+
+
+def test_verification_keeps_the_search_samples():
+    # The 4x verifier's grid holds the search's 64 curvature-grid
+    # parameters, so clearance lost at one of them, here by 1e-5 m at the
+    # eleventh, is not verified away between its own samples.
+    w0, w1 = straight_mission(100.0)
+    config = PlannerConfig()
+    curve = initial_path(w0, w1, config)
+    s = np.linspace(0.0, 1.0, config.n_curv_samples)[10:11]
+    c0, c1 = (d[0] for d in curve.derivatives(s, order=1))
+    normal = np.array([-c1[1], c1[0]]) / np.linalg.norm(c1)
+    disc = StaticObstacle(center=c0 + (2.0 + config.margin - 1e-5) * normal,
+                          radius=2.0)
+    v = constraint_violations(curve, [disc], [], config, speed=15.0)
+    assert v[0] == pytest.approx(1e-5, rel=1e-6)
+    feasible, violations = _verify(curve, [disc], [], config, 15.0)
+    assert not feasible
+    assert violations["obstacle"] == pytest.approx(v[0], rel=1e-9)
 
 
 # -- batched candidate evaluation -----------------------------------------
@@ -324,9 +343,11 @@ def test_piece_form_cache_builds_each_knot_vector_once(monkeypatch):
 
 
 def test_batch_coefficients_read_the_piece_table_in_place():
-    # The cached entry holds the piece table once: the batch coefficients
-    # are the table's product with the candidates' control points, every
-    # block included, as one curve's own coefficients are.
+    # The cached entry holds the piece table once: the batch coefficients,
+    # the one source of arc-length samples for the search and its
+    # verification, are the table's product with the candidates' control
+    # points, every block included, so at piece parameters they give each
+    # candidate curve's own C, C' and C''.
     rng = np.random.default_rng(5)
     for base, _, _, config in _kernel_cases():
         form = geometry._piece_form(base.knots.tobytes(), base.degree)
@@ -339,17 +360,19 @@ def test_batch_coefficients_read_the_piece_table_in_place():
         lower, upper = delta_bounds(base, config)
         xs = _kernel_candidates(base, lower, upper, rng)
         rows = geometry.apply_delta_batch(base, xs)
-        got = geometry.batch_piece_coefficients(base.knots, base.degree,
-                                                rows)(n_piece)
-        # Relative to the sum of the magnitudes each coefficient adds up,
-        # since some coefficients cancel to near zero.
-        scale = np.abs(rows) @ np.abs(form.table).reshape(-1, n).T
-        shape = (3, len(xs), n_piece, n_terms)
-        got, scale = got.reshape(shape), scale.reshape(shape)
+        coef = geometry.batch_piece_coefficients(base.knots, base.degree,
+                                                 rows, n_piece)
+        assert coef.shape == (3, len(xs) * n_piece, n_terms)
+        # Each piece's start and midpoint.
+        t = np.array([0.0, 0.5])
+        s = (form.edges[:-1, None] + t * np.diff(form.edges)[:, None]).ravel()
+        got = geometry.rational_derivatives(geometry.piece_derivatives(
+            coef.reshape(3, len(xs), n_piece, 1, n_terms), t, base.degree, 2))
         for p, x in enumerate(xs):
-            ref = geometry.apply_delta(base, x).piece_coefficients(n_piece)
-            assert ref.shape == (3, n_piece, n_terms)
-            assert np.all(np.abs(got[:, p] - ref) <= 1e-12 * scale[:, p])
+            ref = geometry.apply_delta(base, x).derivatives(s, order=2)
+            for g, r in zip(got, ref):
+                err = np.abs(g[:, p].reshape(2, -1).T - r)
+                assert np.all(err <= 1e-12 * np.abs(r).max()), err.max()
 
 
 # -- single replan cycles --------------------------------------------------
@@ -551,6 +574,27 @@ def test_mission_loop_reaches_goal():
     assert log.metrics["replan_count"] > 0
     u_max = config.kappa_max * 15.0
     assert max(abs(u) for u in log.commands) <= u_max + 1e-12
+
+
+def test_arrivals_record_the_heading_error():
+    # Each arrival records its signed heading error against the waypoint's
+    # desired heading, read from the trajectory row at the arrival time;
+    # the metrics carry the list as "arrivals".
+    config = fast_config(waypoint_tolerance=3.0,
+                         optimizer=OptimizerConfig(budget=96, n_init=24))
+    w0, w1 = straight_mission(100.0)
+    w2 = Waypoint(position=np.array([160.0, 60.0]), heading=1.2)
+    log = mission_loop([w0, w1, w2], World(), config, seed=0,
+                       uav0=UavState(w0.position, w0.heading, 15.0),
+                       dt_sim=0.01, max_steps=20000)
+    assert log.success
+    assert log.metrics["arrivals"] == log.waypoint_times
+    assert [a["waypoint"] for a in log.waypoint_times] == [1, 2]
+    for arrival, wp in zip(log.waypoint_times, (w1, w2)):
+        i = log.times.index(arrival["t"])
+        assert arrival["heading_error"] == wrap_angle(log.headings[i]
+                                                      - wp.heading)
+    assert log.waypoint_times[1]["heading_error"] != 0.0
 
 
 def test_overshoot_reset_restarts_leg_from_vehicle():
