@@ -140,17 +140,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command line and return its exit code. Every input fault,
+    in the arguments, the scenario file or an output file, prints one
+    `error:` line and returns EXIT_BAD_INPUT."""
     try:
-        args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
+        return _run(build_parser().parse_args(argv))
+    except (_UsageError, ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
+
+def _out_dir(path: str) -> Path:
+    """The output directory, made if missing; a failure names --out."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"--out: {exc}") from exc
+    return out
+
+
+def _run(args) -> int:
+    """One parsed command line's run; input faults propagate to main."""
+    scenario = load_scenario(args.scenario)
     if args.mode == "validate":
         print(f"scenario ok: {scenario.name} "
               f"({len(scenario.waypoints)} waypoints, "
@@ -158,22 +170,13 @@ def main(argv=None) -> int:
               f"{len(scenario.dynamics)} dynamic obstacles)")
         return EXIT_OK
 
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: --out: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    out_dir = _out_dir(args.out)
     seed = scenario.seed if args.seed is None else args.seed
 
     if args.mode == "bench-replan":
         metrics = _bench_replan(scenario, seed, args.replans,
                                 args.disable_vo, args.disable_curvature)
-        try:
-            write_metrics(metrics, out_dir / "metrics.json")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+        write_metrics(metrics, out_dir / "metrics.json")
         wt = metrics["wall_time"]
         print(f"bench-replan: {metrics['replans']} cycles, "
               f"median {_seconds(wt['median'])}, p95 {_seconds(wt['p95'])}")
@@ -181,16 +184,12 @@ def main(argv=None) -> int:
 
     log = run_mission(scenario, seed=seed, disable_vo=args.disable_vo,
                       disable_curvature=args.disable_curvature)
-    try:
-        write_trajectory_csv(log, out_dir / "trajectory.csv")
-        write_metrics(log.metrics, out_dir / "metrics.json")
-        write_curves(log, out_dir / "curves.jsonl")
-        if args.plot:
-            emit_plot(log, scenario.make_world(), scenario.mission_waypoints(),
-                      out_dir / "plot.svg")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    write_trajectory_csv(log, out_dir / "trajectory.csv")
+    write_metrics(log.metrics, out_dir / "metrics.json")
+    write_curves(log, out_dir / "curves.jsonl")
+    if args.plot:
+        emit_plot(log, scenario.make_world(), scenario.mission_waypoints(),
+                  out_dir / "plot.svg")
     status = "success" if log.success else "failure"
     print(f"mission {status}: length "
           f"{log.metrics['executed_path_length']:.1f} m, "

@@ -912,6 +912,17 @@ def _from_homogeneous(degree: int, hom: np.ndarray,
     return NurbsCurve(degree=degree, control_points=pts, weights=w, knots=knots)
 
 
+def is_leg(start, goal) -> bool:
+    """Whether two points make a leg: the chord between them is positive.
+
+    There is no tolerance, absolute or scaled by the coordinates: two
+    points make a leg iff they differ, at any coordinate magnitude, since
+    math.hypot does not underflow to zero on a nonzero difference.
+    """
+    dx, dy = np.asarray(goal, dtype=float) - np.asarray(start, dtype=float)
+    return math.hypot(dx, dy) > 0.0
+
+
 def build_path_with_headings(start, goal, spec: HeadingSpec,
                              n_interior: int) -> NurbsCurve:
     """Cubic path whose endpoint tangents match the requested headings.
@@ -921,10 +932,14 @@ def build_path_with_headings(start, goal, spec: HeadingSpec,
     spread evenly between the inner ends of the two collinear triples so
     the control polygon never doubles back on aligned headings. Unit
     weights, clamped uniform knots.
+
+    Start and goal must make a leg (`is_leg`): any positive chord will
+    do, however short next to the coordinates. This is the one rule a
+    leg is judged by, for scenario waypoints and mid-flight resets alike.
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
-    if np.allclose(start, goal):
+    if not is_leg(start, goal):
         raise ValueError("start and goal must be distinct")
     if n_interior < 0:
         raise ValueError("n_interior must be non-negative")

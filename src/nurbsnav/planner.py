@@ -114,10 +114,9 @@ def delta_bounds(curve: NurbsCurve, config: PlannerConfig) -> tuple[np.ndarray, 
 
 def initial_path(wp_from: Waypoint, wp_to: Waypoint,
                  config: PlannerConfig) -> NurbsCurve:
-    """Straight-chord heading path between two waypoints."""
+    """Straight-chord heading path between two waypoints; ValueError
+    unless they make a leg (`geometry.is_leg`)."""
     chord = float(np.linalg.norm(wp_to.position - wp_from.position))
-    if chord == 0.0:
-        raise ValueError("waypoints must be distinct")
     rho = config.rho_min
     # Keep the rigid collinear triples short: everything within 3 * lam0 of
     # an endpoint can only stretch along the heading, so a long spacing
@@ -205,7 +204,7 @@ def _sampled_violations(candidate: NurbsCurve, statics, dynamics,
         v[1] = _curvature_excess(kappa[None], config.kappa_max)[0]
     if not config.disable_vo and dynamics:
         v[2] = path_vo_violation(candidate, speed, dynamics,
-                                 r_u=config.margin,
+                                 margin=config.margin,
                                  tau=config.tau,
                                  n_samples=density * (N_VO_SAMPLES - 1) + 1)
     return v, kappa

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .geometry import is_leg
 from .planner import PlannerConfig, Waypoint, mission_loop
 from .tracking import UavState
 from .world import DynamicObstacle, SimLog, StaticObstacle, World
@@ -123,7 +124,7 @@ def _point(value, context: str) -> np.ndarray:
 # leaves out is not passed, so the field keeps its class default.
 # The integer settings that size memory have an upper bound; `budget` and
 # `max_steps` cost time only and have none.
-_PLANNER_KEYS = {"T_s": ("t_replan", _number), "tau": ("tau", _number),
+_PLANNER_KEYS = {"T_s": ("t_replan", _positive), "tau": ("tau", _number),
                  # A knot vector's cached entry (piece table and length
                  # basis) holds about K * 19 * n floats, with
                  # K ~ n_interior + 45 pieces and n = n_interior + 8 points,
@@ -197,8 +198,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         ctx = f"waypoints[{i}]"
         wp = _object(wp, ctx)
         pos = _point(_require(wp, "pos", ctx), f"{ctx}.pos")
-        # The same closeness test build_path_with_headings rejects a leg by.
-        if np.allclose(pos, prev):
+        if not is_leg(prev, pos):
             raise ScenarioError(f"{ctx}.pos: must differ from the "
                                 + ("previous waypoint" if i else "uav.start"))
         waypoints.append(Waypoint(

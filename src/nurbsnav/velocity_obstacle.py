@@ -98,14 +98,15 @@ def _ttc_array(rel_pos: np.ndarray, rel_vel: np.ndarray,
     return np.where((c <= 0.0) | (b > 0.0) & (disc >= 0.0), t, np.inf)
 
 
-def obstacle_arrays(obstacles, r_u: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def obstacle_arrays(obstacles, margin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positions and velocities (2, K, 1, 1) and squared combined radii
-    (K, 1, 1), obstacles on the leading axis so that they broadcast
-    against samples (2, 1, P, J)."""
+    (K, 1, 1), each obstacle's radius plus `margin`
+    (`PlannerConfig.margin`, r_safe + r_u), obstacles on the leading axis
+    so that they broadcast against samples (2, 1, P, J)."""
     obstacles = list(obstacles)
     pos = np.array([o.position for o in obstacles], dtype=float).reshape(-1, 2)
     vel = np.array([o.velocity for o in obstacles], dtype=float).reshape(-1, 2)
-    radii = np.array([o.radius + r_u for o in obstacles], dtype=float)
+    radii = np.array([o.radius + margin for o in obstacles], dtype=float)
     return (pos.T[:, :, None, None], vel.T[:, :, None, None],
             (radii * radii)[:, None, None])
 
@@ -164,7 +165,7 @@ def path_depth(knots, degree: int, hom_rows, cum, speed: float,
 
 
 def path_vo_violation(curve: NurbsCurve, speed: float, obstacles,
-                      r_u: float, tau: float, n_samples: int) -> float:
+                      margin: float, tau: float, n_samples: int) -> float:
     """Total truncated-VO violation depth along the first speed * tau
     metres of the path (all of it, when shorter): `path_depth` on the
     curve's own control points and length grid, with n_samples samples
@@ -175,4 +176,4 @@ def path_vo_violation(curve: NurbsCurve, speed: float, obstacles,
         raise ValueError("need at least two VO samples")
     return float(path_depth(curve.knots, curve.degree, curve.homogeneous.T,
                             curve.length_grid[1][None], speed,
-                            obstacle_arrays(obstacles, r_u), tau, n_samples)[0])
+                            obstacle_arrays(obstacles, margin), tau, n_samples)[0])

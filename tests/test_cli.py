@@ -11,8 +11,8 @@ import pytest
 from nurbsnav.cli import (CSV_HEADER, EXIT_BAD_INPUT, EXIT_MISSION_FAILED,
                           EXIT_OK, main)
 from nurbsnav.planner import Waypoint
-from nurbsnav.plot import CANVAS_H, CANVAS_W, TRAIL_STEPS, emit_plot
-from nurbsnav.world import DynamicObstacle, SimLog, World
+from nurbsnav.plot import CANVAS_H, CANVAS_W, MARGIN, TRAIL_STEPS, emit_plot
+from nurbsnav.world import DynamicObstacle, SimLog, StaticObstacle, World
 
 
 def tiny_scenario(**extra) -> dict:
@@ -152,6 +152,10 @@ def _patched(section: str, key: str, value, index: int | None = None) -> dict:
     (_patched("planner", "n_interior", 101), "planner.n_interior"),
     (_patched("planner", "n_init", 1e300), "planner.n_init"),
     (_patched("planner", "n_init", 1001), "planner.n_init"),
+    (_patched("planner", "T_s", 0), "planner.T_s"),
+    (_patched("planner", "T_s", -1), "planner.T_s"),
+    # Valid alone, but not above the default T_s of 0.1 s.
+    (_patched("planner", "tau", 0.05), "planner: "),
 ], ids=["budget-not-a-number", "budget-zero", "max-steps-negative",
         "static-radius-negative", "dynamic-radius-zero",
         "waypoint-repeats-previous", "waypoint-equals-start",
@@ -160,12 +164,34 @@ def _patched(section: str, key: str, value, index: int | None = None) -> dict:
         "tolerance-zero", "kappa-max-zero", "r-safe-zero",
         "r-view-negative", "r-u-negative", "speed-beyond-float-range",
         "n-interior-beyond-float-range", "n-interior-huge",
-        "n-interior-above-bound", "n-init-huge", "n-init-above-bound"])
+        "n-interior-above-bound", "n-init-huge", "n-init-above-bound",
+        "t-s-zero", "t-s-negative", "tau-not-above-t-s"])
 def test_invalid_field_exit_code(tmp_path, capsys, data, field):
     path = write_scenario(tmp_path, data)
     code = main(["--scenario", str(path), "--mode", "validate"])
     assert code == EXIT_BAD_INPUT
     assert f"error: {field}" in capsys.readouterr().err
+
+
+def test_leg_rule_holds_at_utm_scale_coordinates(tmp_path, capsys):
+    # A 30.3 m leg at a UTM northing validates: no tolerance scales with
+    # the coordinates (1e-5 of 4e6 m would be 40 m). A waypoint on the
+    # start or on the previous waypoint still makes no leg.
+    start, goal = [500000.0, 4000000.0], [500004.0, 4000030.0]
+    uav = {**tiny_scenario()["uav"], "start": start}
+
+    def validate(*positions) -> int:
+        path = write_scenario(tmp_path, tiny_scenario(
+            uav=uav, waypoints=[{"pos": p, "heading": 0.0} for p in positions]))
+        return main(["--scenario", str(path), "--mode", "validate"])
+
+    assert validate(goal) == EXIT_OK
+    assert validate(start) == EXIT_BAD_INPUT
+    assert "error: waypoints[0].pos: must differ from the uav.start" \
+        in capsys.readouterr().err
+    assert validate(goal, goal) == EXIT_BAD_INPUT
+    assert "error: waypoints[1].pos: must differ from the previous waypoint" \
+        in capsys.readouterr().err
 
 
 def _with_obstacles() -> dict:
@@ -387,21 +413,33 @@ def test_plot_leaves_out_movers_that_spawn_after_the_log(tmp_path):
     log = SimLog(times=[0.0, 0.5, 1.0],
                  positions=[np.array([0.0, 0.0]), np.array([7.5, 0.0]),
                             np.array([15.0, 0.0])])
-    world = World(dynamics=[
-        DynamicObstacle(position0=[10.0, -5.0], velocity=[0.0, 2.0],
-                        radius=1.0),
-        DynamicObstacle(position0=[5000.0, 5000.0], velocity=[1.0, 0.0],
-                        radius=1.0, spawn_time=50.0)])
+    # A static disc is drawn too, as one circle scaled with the frame.
+    world = World(
+        statics=[StaticObstacle(center=[8.0, 6.0], radius=2.0)],
+        dynamics=[DynamicObstacle(position0=[10.0, -5.0], velocity=[0.0, 2.0],
+                                  radius=1.0),
+                  DynamicObstacle(position0=[5000.0, 5000.0],
+                                  velocity=[1.0, 0.0], radius=1.0,
+                                  spawn_time=50.0)])
     waypoints = [Waypoint(position=np.array([0.0, 0.0]), heading=0.0),
                  Waypoint(position=np.array([15.0, 0.0]), heading=0.0)]
     svg = tmp_path / "plot.svg"
     emit_plot(log, world, waypoints, svg)
     circles = list(ET.parse(svg).getroot().iter(
         "{http://www.w3.org/2000/svg}circle"))
-    assert len(circles) == len(waypoints) + TRAIL_STEPS
+    assert len(circles) == 1 + len(waypoints) + TRAIL_STEPS
     for c in circles:
         assert 0.0 <= float(c.get("cx")) <= CANVAS_W
         assert 0.0 <= float(c.get("cy")) <= CANVAS_H
+    # The drawn points span x 0..15 m (path) and y -5 m (mover's spawn)
+    # to 8 m (the disc's top), so the frame's scale is the smaller of
+    # the two axes' pixels per metre.
+    scale = min((CANVAS_W - 2 * MARGIN) / 15.0, (CANVAS_H - 2 * MARGIN) / 13.0)
+    disc = [c for c in circles if c.get("fill") == "#b0b0b0"]
+    assert len(disc) == 1
+    cx, cy, r = (float(disc[0].get(k)) for k in ("cx", "cy", "r"))
+    assert r == pytest.approx(2.0 * scale, abs=1e-3)
+    assert r <= cx <= CANVAS_W - r and r <= cy <= CANVAS_H - r
 
 
 def test_seed_flag_overrides_scenario_seed(tmp_path):

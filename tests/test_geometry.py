@@ -13,7 +13,7 @@ from nurbsnav.geometry import (PINNED, HeadingSpec, NurbsCurve, W_MIN,
                                _piece_form, apply_delta, basis_matrices,
                                build_path_with_headings, clamped_uniform_knots,
                                delta_dimension, derivatives_at_lengths,
-                               join_delta, locate_length,
+                               is_leg, join_delta, locate_length,
                                locate_piece, movable_count, neutral_delta,
                                piece_basis, piece_map, rational_derivatives,
                                split_delta, validate_knots)
@@ -587,6 +587,22 @@ def test_build_start_tangent_angle():
     assert abs(math.atan2(tan1[1], tan1[0]) - (-0.3)) <= 1e-9
     assert np.allclose(c.point(0.0), [0.0, 0.0], rtol=0, atol=1e-12)
     assert np.allclose(c.point(1.0), [80.0, 40.0], rtol=0, atol=1e-12)
+
+
+def test_any_positive_chord_makes_a_leg():
+    # No tolerance scales with the coordinates: 1 mm at a UTM northing, or
+    # a chord that would underflow if squared, is a leg; only equal points
+    # are not, and the constructor rejects them.
+    spec = HeadingSpec(gamma_init=0.0, gamma_goal=0.0, lam1=2.0, lam2=2.0)
+    start = np.array([5e5, 4e6])
+    for goal in (start + [0.0, 1e-3], start + [30.3, 0.0]):
+        assert is_leg(start, goal)
+        c = build_path_with_headings(start, goal, spec, 4)
+        assert np.array_equal(c.control_points[-1], goal)
+    assert is_leg([0.0, 0.0], [1e-200, 0.0])
+    assert not is_leg(start, start.copy())
+    with pytest.raises(ValueError):
+        build_path_with_headings(start, start.copy(), spec, 4)
 
 
 # -- plan variations ------------------------------------------------------

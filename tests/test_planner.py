@@ -597,14 +597,15 @@ def test_arrivals_record_the_heading_error():
     assert log.waypoint_times[1]["heading_error"] != 0.0
 
 
-def test_overshoot_reset_restarts_leg_from_vehicle():
+def _check_overshoot_resets(origin, tol: float) -> None:
     # At a 0.5 m tolerance the tracker runs off the end of the leg's path
     # without reaching the waypoint; the cycle then returns no plan, and
-    # the loop starts a fresh chord path from the vehicle's state.
+    # the loop starts a fresh chord path from the vehicle's state, which
+    # `tol` bounds the reset path's start point and heading against.
     config = fast_config(waypoint_tolerance=0.5,
                          optimizer=OptimizerConfig(budget=48, n_init=16))
-    w0 = Waypoint(position=np.array([0.0, 0.0]), heading=0.0)
-    w1 = Waypoint(position=np.array([80.0, 20.0]), heading=0.0)
+    w0 = Waypoint(position=np.array(origin), heading=0.0)
+    w1 = Waypoint(position=np.array(origin) + [80.0, 20.0], heading=0.0)
     log = mission_loop([w0, w1], World(), config, seed=0,
                        uav0=UavState(w0.position, w0.heading, 15.0),
                        dt_sim=0.01, max_steps=3000)
@@ -621,12 +622,24 @@ def test_overshoot_reset_restarts_leg_from_vehicle():
         i = log.times.index(rec["t"])
         c0, c1 = NurbsCurve.from_dict(rec["curve"]).derivatives(
             np.array([0.0]), order=1)
-        assert np.allclose(c0[0], log.positions[i], rtol=0, atol=1e-9)
+        assert np.allclose(c0[0], log.positions[i], rtol=0, atol=tol)
         heading = math.atan2(c1[0, 1], c1[0, 0])
-        assert abs(wrap_angle(heading - log.headings[i])) <= 1e-9
+        assert abs(wrap_angle(heading - log.headings[i])) <= tol
         # The flight goes on, and the next cycles replan the fresh path.
         assert len(log.times) > i + 1
         assert any(t > rec["t"] for t in replan_times)
+
+
+def test_overshoot_reset_restarts_leg_from_vehicle():
+    _check_overshoot_resets([0.0, 0.0], tol=1e-9)
+
+
+def test_overshoot_reset_at_utm_scale_coordinates():
+    # The same flight at a UTM easting and northing. A reset's chord is
+    # tens of metres, inside a closeness tolerance scaled by 4e6 m, yet a
+    # leg: every reset flies on. Coordinates of 4e6 m resolve 5e-10 m,
+    # so the reset path's start point and heading are checked to 1e-6.
+    _check_overshoot_resets([5e5, 4e6], tol=1e-6)
 
 
 def test_mission_loop_needs_two_waypoints():

@@ -162,7 +162,7 @@ def test_path_violation_empty_is_zero():
 
 def test_path_violation_blocking_obstacle():
     obs = ObstacleState(position=[15.0, 0.0], velocity=[0.0, 0.0], radius=3.0)
-    v = path_vo_violation(straight_path(), 10.0, [obs], r_u=2.0, tau=3.0,
+    v = path_vo_violation(straight_path(), 10.0, [obs], margin=2.0, tau=3.0,
                           n_samples=N_VO_SAMPLES)
     assert v > 0.0
 
@@ -185,7 +185,7 @@ def test_path_violation_agrees_with_brute_force_crossing():
     passing = ObstacleState(position=[30.0, -40.0], velocity=[0.0, 5.0],
                             radius=2.0)
     for obs in (blocking, passing):
-        v = path_vo_violation(curve, speed, [obs], r_u=2.0, tau=5.0,
+        v = path_vo_violation(curve, speed, [obs], margin=2.0, tau=5.0,
                               n_samples=50)
         clearance = _brute_min_clearance(curve, speed, obs, 2.0, 5.0)
         if clearance > 0.0:
@@ -212,7 +212,7 @@ def test_path_violation_last_sample_is_curve_end():
     vel = np.array([speed, 0.0])
     mover = ObstacleState(position=curve.point(1.0) - (length / speed) * vel,
                           velocity=vel, radius=0.1)
-    v = path_vo_violation(curve, speed, [mover], r_u=0.1, tau=tau,
+    v = path_vo_violation(curve, speed, [mover], margin=0.1, tau=tau,
                           n_samples=N_VO_SAMPLES)
     assert v == pytest.approx(1.0, abs=1e-12)
 
