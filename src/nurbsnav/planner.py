@@ -173,20 +173,29 @@ def _static_discs(statics, config: PlannerConfig
             np.array([s.radius + config.margin for s in statics]))
 
 
-def _static_violation(points: np.ndarray, centers: np.ndarray,
-                      clearance: np.ndarray) -> np.ndarray:
-    """Summed clearance shortfall (P,) of P paths' sample points
-    (2, P, m) against the discs of `_static_discs`."""
+def _violations(points: np.ndarray, kappa: np.ndarray, sensed, vo,
+                centers: np.ndarray, clearance: np.ndarray,
+                config: PlannerConfig) -> np.ndarray:
+    """[static, curvature, VO] violations (P, 3) of P paths sampled on the
+    curvature grid: points (2, P, m) and curvatures kappa (P, m).
+
+    Static: the summed clearance shortfall against the discs of
+    `_static_discs`. Curvature: the mean excess over kappa_max +
+    KAPPA_SLACK, zero under `disable_curvature`. VO: `vo()`, the depths
+    (P,) against the `sensed` movers, called only when some mover is
+    sensed and `disable_vo` is off. The one place that decides which
+    families are scored.
+    """
+    v = np.zeros((kappa.shape[0], 3))
     d = np.sqrt((points[0][..., None] - centers[:, 0]) ** 2
                 + (points[1][..., None] - centers[:, 1]) ** 2)
-    return np.maximum(0.0, clearance - d).sum(axis=(1, 2))
-
-
-def _curvature_excess(kappa: np.ndarray, kappa_max: float) -> np.ndarray:
-    """Mean excess (P,) of P paths' curvatures (P, m) on a uniform grid
-    over kappa_max + KAPPA_SLACK."""
-    return np.maximum(0.0, kappa - kappa_max - KAPPA_SLACK).sum(axis=1) \
-        / (kappa.shape[1] - 1)
+    v[:, 0] = np.maximum(0.0, clearance - d).sum(axis=(1, 2))
+    if not config.disable_curvature:
+        v[:, 1] = np.maximum(0.0, kappa - config.kappa_max - KAPPA_SLACK
+                             ).sum(axis=1) / (kappa.shape[1] - 1)
+    if not config.disable_vo and sensed:
+        v[:, 2] = vo()
+    return v
 
 
 def _sampled_violations(candidate: NurbsCurve, statics, dynamics,
@@ -194,20 +203,16 @@ def _sampled_violations(candidate: NurbsCurve, statics, dynamics,
                         density: int) -> tuple[np.ndarray, np.ndarray]:
     """constraint_violations with each gap between curvature-grid and
     between VO samples split into `density` gaps, and the curvatures on
-    that grid: the search kernel's rules applied to one curve. The
-    search's own samples are among them, bit for bit."""
+    that grid: the search kernel's `_violations` on one curve's own
+    samples. The search's own samples are among them, bit for bit."""
     grid = np.linspace(0.0, 1.0, density * (N_CURV_SAMPLES - 1) + 1)
     c0, kappa = candidate.positions_and_curvatures(grid)
-    v = np.zeros(3)
-    v[0] = _static_violation(c0.T[:, None], *_static_discs(statics, config))[0]
-    if not config.disable_curvature:
-        v[1] = _curvature_excess(kappa[None], config.kappa_max)[0]
-    if not config.disable_vo and dynamics:
-        v[2] = path_vo_violation(candidate, speed, dynamics,
-                                 margin=config.margin,
-                                 tau=config.tau,
-                                 n_samples=density * (N_VO_SAMPLES - 1) + 1)
-    return v, kappa
+    return _violations(
+        c0.T[:, None], kappa[None], dynamics,
+        lambda: path_vo_violation(candidate, speed, dynamics,
+                                  margin=config.margin, tau=config.tau,
+                                  n_samples=density * (N_VO_SAMPLES - 1) + 1),
+        *_static_discs(statics, config), config)[0], kappa
 
 
 def _verify(candidate: NurbsCurve, statics, dynamics, config: PlannerConfig,
@@ -239,9 +244,11 @@ class _CycleKernel:
     grid, which static clearance shares, is read from the table here; and
     the VO samples come from the rows themselves, which
     `velocity_obstacle.path_depth` takes as it takes one curve's. The
-    samples are scored by the rules `constraint_violations` applies to
-    one curve: `_static_violation`, `_curvature_excess` and
-    `velocity_obstacle.path_depth`. Agrees with apply_delta +
+    samples are scored by `_violations`, as `constraint_violations`
+    scores one curve's; only the sampling differs. The per-curve check
+    takes its curvature grid from `NurbsCurve.positions_and_curvatures`
+    and its VO depth from `path_vo_violation`, which calls `path_depth`
+    on the curve's own control points. Agrees with apply_delta +
     total_length + constraint_violations to rounding. Rows are applied as
     given, unclipped: the optimizer keeps them inside `delta_bounds`.
     """
@@ -255,19 +262,16 @@ class _CycleKernel:
         self.curv_basis = geometry.piece_basis(base.knots, base.degree,
                                                self.curv_grid, 2)
         self.centers, self.clearance = _static_discs(statics, config)
-        self.movers = None
-        if not config.disable_vo and dynamics:
-            self.movers = velocity_obstacle.obstacle_arrays(dynamics,
-                                                            config.margin)
+        self.sensed = dynamics
+        self.movers = velocity_obstacle.obstacle_arrays(dynamics,
+                                                        config.margin)
 
     def evaluate(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Path lengths (P,) and [static, curvature, VO] violations (P, 3)."""
-        config = self.config
         knots, degree = self.base.knots, self.base.degree
         hom_rows = geometry.apply_delta_batch(self.base, xs)
         n_var = xs.shape[0]
         cum = geometry.edge_lengths(knots, degree, hom_rows)
-        lengths = cum[:, -1]
         # Curvature-grid derivatives of every candidate, shape (2, P, m).
         c0, c1, c2 = geometry.rational_derivatives(
             [(hom_rows @ b.T).reshape(3, n_var, -1) for b in self.curv_basis])
@@ -276,16 +280,12 @@ class _CycleKernel:
             # A vanishing tangent: the scalar path's offset rule, this row only.
             kappa[p] = geometry.apply_delta(self.base,
                                             xs[p]).curvatures(self.curv_grid)
-
-        v = np.zeros((n_var, 3))
-        v[:, 0] = _static_violation(c0, self.centers, self.clearance)
-        if not config.disable_curvature:
-            v[:, 1] = _curvature_excess(kappa, config.kappa_max)
-        if self.movers is not None:
-            v[:, 2] = velocity_obstacle.path_depth(
+        return cum[:, -1], _violations(
+            c0, kappa, self.sensed,
+            lambda: velocity_obstacle.path_depth(
                 knots, degree, hom_rows, cum, self.speed, self.movers,
-                config.tau, N_VO_SAMPLES)
-        return lengths, v
+                self.config.tau, N_VO_SAMPLES),
+            self.centers, self.clearance, self.config)
 
 
 def _real_gain(best, f0: float, v0: float) -> bool:

@@ -234,6 +234,11 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     optimizer = _given(pl, _OPTIMIZER_KEYS, "planner")
     settings = _given(pl, _PLANNER_KEYS, "planner")
     base = PlannerConfig()
+    t_replan = settings.get("t_replan", base.t_replan)
+    tau = settings.get("tau", base.tau)
+    if tau <= t_replan:
+        raise ScenarioError(f"planner.tau: must exceed planner.T_s "
+                            f"({t_replan:g} s), got {tau:g}")
     try:
         planner = replace(base, kappa_max=kappa_max, r_safe=r_safe,
                           r_view=r_view, **own_radius, **settings,

@@ -47,11 +47,11 @@ def test_validate_mode_writes_nothing(tmp_path, capsys):
 def test_bad_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     # Malformed JSON, bytes that are not UTF-8, nesting beyond the
-    # recursion limit, and an integer literal beyond the interpreter's
-    # digit limit.
+    # recursion limit, an integer literal beyond the interpreter's digit
+    # limit, and a root that is not an object.
     for content in [b"{not json", b"\xff\xfe{}",
                     b"[" * 100_000 + b"]" * 100_000,
-                    b'{"uav": ' + b"1" * 5000 + b"}"]:
+                    b'{"uav": ' + b"1" * 5000 + b"}", b"[]"]:
         bad.write_bytes(content)
         code = main(["--scenario", str(bad), "--mode", "validate"])
         assert code == EXIT_BAD_INPUT
@@ -155,7 +155,11 @@ def _patched(section: str, key: str, value, index: int | None = None) -> dict:
     (_patched("planner", "T_s", 0), "planner.T_s"),
     (_patched("planner", "T_s", -1), "planner.T_s"),
     # Valid alone, but not above the default T_s of 0.1 s.
-    (_patched("planner", "tau", 0.05), "planner: "),
+    (_patched("planner", "tau", 0.05),
+     "planner.tau: must exceed planner.T_s (0.1 s), got 0.05"),
+    # Valid alone, but not below the default tau of 3 s.
+    (_patched("planner", "T_s", 5),
+     "planner.tau: must exceed planner.T_s (5 s), got 3"),
 ], ids=["budget-not-a-number", "budget-zero", "max-steps-negative",
         "static-radius-negative", "dynamic-radius-zero",
         "waypoint-repeats-previous", "waypoint-equals-start",
@@ -165,7 +169,8 @@ def _patched(section: str, key: str, value, index: int | None = None) -> dict:
         "r-view-negative", "r-u-negative", "speed-beyond-float-range",
         "n-interior-beyond-float-range", "n-interior-huge",
         "n-interior-above-bound", "n-init-huge", "n-init-above-bound",
-        "t-s-zero", "t-s-negative", "tau-not-above-t-s"])
+        "t-s-zero", "t-s-negative", "tau-not-above-t-s",
+        "t-s-not-below-tau"])
 def test_invalid_field_exit_code(tmp_path, capsys, data, field):
     path = write_scenario(tmp_path, data)
     code = main(["--scenario", str(path), "--mode", "validate"])

@@ -709,17 +709,41 @@ def test_delta_blocks_address_their_points(cut):
 # -- validation -----------------------------------------------------------
 
 def test_invalid_inputs_rejected():
-    with pytest.raises(ValueError):
-        validate_knots(np.array([0.0, 0.0, 1.0, 0.5, 1.0, 1.0]), 2)
-    with pytest.raises(ValueError):
-        validate_knots(np.array([0.0, 0.5, 1.0, 1.0]), 1)  # not clamped
-    with pytest.raises(ValueError):
-        NurbsCurve(degree=1, control_points=np.zeros((2, 2)),
-                   weights=np.array([1.0, -1.0]),
-                   knots=np.array([0.0, 0.0, 1.0, 1.0]))
-    with pytest.raises(ValueError):
-        NurbsCurve(degree=3, control_points=np.zeros((2, 2)),
-                   weights=np.ones(2), knots=np.array([0.0, 0.0, 1.0, 1.0]))
+    line = segment()
+    spec = HeadingSpec(gamma_init=0.0, gamma_goal=0.0, lam1=5.0, lam2=5.0)
+    path = build_path_with_headings([0.0, 0.0], [100.0, 0.0], spec, 2)
+    one = np.ones(2)
+    knots = np.array([0.0, 0.0, 1.0, 1.0])
+    for call, match in [
+        (lambda: validate_knots(np.array([0.0, 0.0, 1.0, 0.5, 1.0, 1.0]), 2),
+         "non-decreasing"),
+        (lambda: validate_knots(np.array([0.0, 0.5, 1.0, 1.0]), 1),
+         "clamped"),
+        (lambda: validate_knots(knots, 0), "degree"),
+        (lambda: validate_knots(np.array([0.0, 0.0, 0.5, 0.5, 1.0, 1.0]), 1),
+         "multiplicity"),
+        (lambda: NurbsCurve(degree=1, control_points=np.zeros((2, 2)),
+                            weights=np.array([1.0, -1.0]), knots=knots),
+         "strictly positive"),
+        (lambda: NurbsCurve(degree=3, control_points=np.zeros((2, 2)),
+                            weights=one, knots=knots), r"degree\+1"),
+        (lambda: NurbsCurve(degree=1, control_points=np.zeros((2, 3)),
+                            weights=one, knots=knots), r"\(n, 2\)"),
+        (lambda: NurbsCurve(degree=1, control_points=np.zeros((2, 2)),
+                            weights=np.ones(3), knots=knots), "weights"),
+        (lambda: NurbsCurve(degree=1, control_points=np.zeros((2, 2)),
+                            weights=one, knots=knots[1:]), "knot count"),
+        (lambda: HeadingSpec(gamma_init=0.0, gamma_goal=0.0, lam1=0.0,
+                             lam2=1.0), "spacing"),
+        (lambda: line.arc_length(0.5, 0.2), "s0 <= s1"),
+        (lambda: line.max_curvature(1), "two curvature samples"),
+        (lambda: build_path_with_headings([0.0, 0.0], [100.0, 0.0], spec, -1),
+         "n_interior"),
+        (lambda: apply_delta(line, np.zeros(0)), "too short"),
+        (lambda: apply_delta(path, np.zeros(3)), "dimension"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_clamped_uniform_knots_layout():

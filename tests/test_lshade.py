@@ -366,6 +366,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ProblemDef(dimension=2, lower=np.array([0.0, 0.0]),
                    upper=np.array([0.0, 1.0]), objective=lambda x: 0.0)
+    with pytest.raises(ValueError, match="dimension"):
+        ProblemDef(dimension=3, lower=np.zeros(2), upper=np.ones(2),
+                   objective=lambda x: 0.0)
+    with pytest.raises(ValueError, match="objective or a batch"):
+        ProblemDef(dimension=2, lower=np.zeros(2), upper=np.ones(2))
 
 
 # -- batched evaluation -----------------------------------------------------

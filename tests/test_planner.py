@@ -60,6 +60,21 @@ def test_initial_path_rejects_coincident_waypoints():
         initial_path(w, w, fast_config())
 
 
+def test_planner_config_and_waypoint_validation():
+    for fields, match in [({"t_replan": 0.0}, "t_replan"),
+                          ({"tau": 0.1}, "tau must exceed t_replan"),
+                          ({"kappa_max": 0.0}, "kappa_max"),
+                          ({"r_safe": 0.0}, "radii"),
+                          ({"r_view": -1.0}, "radii"),
+                          ({"r_u": -1.0}, "radii"),
+                          ({"n_interior": 0}, "interior")]:
+        with pytest.raises(ValueError, match=match):
+            PlannerConfig(**fields)
+    for position, heading in (([0.0, math.nan], 0.0), ([0.0, 0.0], math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            Waypoint(position=np.array(position), heading=heading)
+
+
 def test_delta_bounds_layout():
     w0, w1 = straight_mission()
     config = fast_config()
@@ -86,6 +101,9 @@ def test_cut_removes_travelled_arc():
     assert cut.total_length() == pytest.approx(
         curve.total_length() - travelled, abs=1e-6)
     assert np.allclose(cut.point(0.0), [travelled, 0.0], rtol=0, atol=1e-6)
+    # An advance below 1e-9 in parameter cuts nothing.
+    cut, anchor = cut_path_at_projection(curve, state, t_s=1e-13)
+    assert cut is curve and anchor == 0.0
 
 
 def test_cut_returns_none_at_path_end():
@@ -94,6 +112,12 @@ def test_cut_returns_none_at_path_end():
     state = UavState(position=np.array([199.5, 0.0]), heading=0.0, speed=15.0)
     cut, _ = cut_path_at_projection(curve, state, t_s=0.1)
     assert cut is None
+    # A target 1e-7 m short of the end in length, but within 1e-9 of it
+    # in parameter.
+    target = curve.total_length() - 1e-7
+    assert 1.0 - 1e-9 <= curve.param_at_length(target) < 1.0
+    state = UavState(position=np.array([0.0, 0.0]), heading=0.0, speed=15.0)
+    assert cut_path_at_projection(curve, state, t_s=target / 15.0)[0] is None
 
 
 # -- constraint assembly ---------------------------------------------------
@@ -213,27 +237,36 @@ def _kernel_candidates(base, lower, upper, rng):
 
 
 def test_batch_kernel_matches_scalar_path():
-    rng = np.random.default_rng(5)
     cases = _kernel_cases()
     assert cases[0][0]._end_spacing[0] is not None
     assert cases[1][0]._end_spacing[0] is None  # lam1 inert after the cut
-    for base, statics, movers, config in cases:
-        lower, upper = delta_bounds(base, config)
-        xs = _kernel_candidates(base, lower, upper, rng)
-        kernel = _CycleKernel(base, statics, movers, config, 15.0)
-        lengths, violations = kernel.evaluate(xs)
-        # Every family is active on some candidates.
-        assert np.all(np.any(violations > 0.0, axis=0))
-        for i, (x, f, v) in enumerate(zip(xs, lengths, violations)):
-            curve = geometry.apply_delta(base, x)
-            if base is cases[0][0] and i in (1, 2):
-                assert np.any(curve.weights == (geometry.W_MIN, geometry.W_MAX)[i - 1])
-            ref = np.concatenate([[curve.total_length()],
-                                  constraint_violations(curve, statics, movers,
-                                                        config, 15.0)])
-            got = np.concatenate([[f], v])
-            assert np.all(np.abs(got - ref) <= np.maximum(1e-9 * np.abs(ref),
-                                                          1e-12)), (got, ref)
+    # Each switch drops its family from both paths alike.
+    for switch in ({}, {"disable_curvature": True}, {"disable_vo": True}):
+        rng = np.random.default_rng(5)
+        for base, statics, movers, config in cases:
+            config = replace(config, **switch)
+            lower, upper = delta_bounds(base, config)
+            xs = _kernel_candidates(base, lower, upper, rng)
+            kernel = _CycleKernel(base, statics, movers, config, 15.0)
+            lengths, violations = kernel.evaluate(xs)
+            # Every scored family is active on some candidates, and a
+            # dropped one on none.
+            assert np.array_equal(np.any(violations > 0.0, axis=0),
+                                  [True, not config.disable_curvature,
+                                   not config.disable_vo])
+            for i, (x, f, v) in enumerate(zip(xs, lengths, violations)):
+                curve = geometry.apply_delta(base, x)
+                if base is cases[0][0] and i in (1, 2):
+                    assert np.any(curve.weights
+                                  == (geometry.W_MIN, geometry.W_MAX)[i - 1])
+                ref = np.concatenate([[curve.total_length()],
+                                      constraint_violations(curve, statics,
+                                                            movers, config,
+                                                            15.0)])
+                got = np.concatenate([[f], v])
+                assert np.all(np.abs(got - ref)
+                              <= np.maximum(1e-9 * np.abs(ref), 1e-12)), \
+                    (got, ref)
 
 
 def test_length_grid_accuracy_on_search_candidates():
