@@ -631,7 +631,9 @@ class NurbsCurve:
         return self._curvature_values(self._params(s))
 
     def positions_and_curvatures(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """Points and curvatures from a single derivative evaluation."""
+        """Points and curvatures from a single derivative evaluation. No
+        package module calls it; the benchmark's tracer patches it until
+        ROADMAP item 1 re-points that span."""
         s_arr = self._params(s)
         derivs = self._derivs(s_arr, 2)
         return derivs[0].T, self._curvature_values(s_arr, derivs=derivs)
@@ -1023,12 +1025,10 @@ def align_delta(old: np.ndarray, cut: NurbsCurve) -> np.ndarray:
 
 def _regular_triple(anchor: np.ndarray, triple: np.ndarray) -> bool:
     """True when the three points step away from the anchor in equal
-    collinear increments (the form produced at construction)."""
+    collinear increments (the form produced at construction). The caller
+    has checked that the first step is not zero."""
     step = triple[0] - anchor
-    scale = float(np.linalg.norm(step))
-    if scale == 0.0:
-        return False
-    tol = 1e-9 * scale
+    tol = 1e-9 * float(np.linalg.norm(step))
     return (np.linalg.norm(triple[1] - triple[0] - step) <= tol
             and np.linalg.norm(triple[2] - triple[1] - step) <= tol)
 

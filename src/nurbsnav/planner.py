@@ -4,7 +4,9 @@ length/curvature/velocity-obstacle constraints, and orchestrate missions.
 Each cycle cuts the active curve at the position the tracker is predicted
 to reach one replanning interval ahead, then searches a box of variations
 (interior control-point moves, weight shifts, endpoint spacing factors)
-with the constrained differential-evolution solver. The tracker keeps
+with the constrained differential-evolution solver. One evaluator per
+cycle, `_CycleKernel`, built on the cut, scores the search's candidates and
+verifies the plan the cycle returns through one sampler. The tracker keeps
 following the previous curve while the next one is computed; in tests the
 two are interleaved on a fixed deterministic schedule.
 """
@@ -22,7 +24,9 @@ from .geometry import HeadingSpec, NurbsCurve
 from .lshade import OptimizerConfig, ProblemDef, optimize
 from .tracking import (UavState, heading_rate_command, step_dubins,
                        vector_field, wrap_angle)
-from .velocity_obstacle import path_vo_violation
+# Not called here: the benchmark's tracer (perfbench/tracer.py) patches
+# this name until ROADMAP item 1 re-points its spans at the kernel's stages.
+from .velocity_obstacle import path_vo_violation  # noqa: F401
 from .world import SimLog, World
 
 FEAS_EPS = 1e-12
@@ -158,10 +162,13 @@ def constraint_violations(candidate: NurbsCurve, statics, dynamics,
     """[static-obstacle, curvature, velocity-obstacle] violation magnitudes.
 
     All components are non-negative and zero iff the sampled constraint
-    holds. Static clearance is sampled on the curvature grid.
+    holds. Static clearance is sampled on the curvature grid. A one-row
+    `_CycleKernel.score`, so it equals the search kernel's row for the same
+    candidate bit for bit.
     """
-    return _sampled_violations(candidate, statics, dynamics, config, speed,
-                               1)[0]
+    kernel = _CycleKernel(candidate, statics, dynamics, config, speed)
+    return kernel.score(candidate.homogeneous.T, candidate.length_grid[1][None],
+                        lambda p: candidate)[0][0]
 
 
 def _static_discs(statics, config: PlannerConfig
@@ -198,59 +205,29 @@ def _violations(points: np.ndarray, kappa: np.ndarray, sensed, vo,
     return v
 
 
-def _sampled_violations(candidate: NurbsCurve, statics, dynamics,
-                        config: PlannerConfig, speed: float,
-                        density: int) -> tuple[np.ndarray, np.ndarray]:
-    """constraint_violations with each gap between curvature-grid and
-    between VO samples split into `density` gaps, and the curvatures on
-    that grid: the search kernel's `_violations` on one curve's own
-    samples. The search's own samples are among them, bit for bit."""
-    grid = np.linspace(0.0, 1.0, density * (N_CURV_SAMPLES - 1) + 1)
-    c0, kappa = candidate.positions_and_curvatures(grid)
-    return _violations(
-        c0.T[:, None], kappa[None], dynamics,
-        lambda: path_vo_violation(candidate, speed, dynamics,
-                                  margin=config.margin, tau=config.tau,
-                                  n_samples=density * (N_VO_SAMPLES - 1) + 1),
-        *_static_discs(statics, config), config)[0], kappa
-
-
-def _verify(candidate: NurbsCurve, statics, dynamics, config: PlannerConfig,
-            speed: float) -> tuple[bool, dict]:
-    """Re-check all constraint families at 4x sampling density: 253
-    curvature-grid and 77 VO samples, which hold the search's 64 and 20.
-    The curvature peak search starts from the same grid's curvatures."""
-    v, kappa = _sampled_violations(candidate, statics, dynamics, config,
-                                   speed, 4)
-    if not config.disable_curvature:
-        k_peak, _ = candidate.max_curvature(kappa.size, kappa=kappa)
-        v[1] = max(v[1], max(0.0, k_peak - config.kappa_max - KAPPA_SLACK))
-    violations = {"obstacle": float(v[0]), "curvature": float(v[1]),
-                  "vo": float(v[2])}
-    return bool(np.all(v <= FEAS_EPS)), violations
-
-
 class _CycleKernel:
-    """Objective and constraint violations for a batch of candidates.
+    """The one candidate evaluator: objective and constraint violations for
+    the search's batches, and the verification of the plan the cycle
+    returns, through one sampler, `score`.
 
     Built once per replan cycle on the cut path. apply_delta keeps the knot
-    vector, so every candidate of the cycle shares one B-spline basis and
-    one piecewise Bezier table. A chunk of P candidates then costs a few
-    products of the basis with the (3P, n) component-major homogeneous
-    control-point rows that `geometry.apply_delta_batch` returns, each a
-    single matmul whose x, y and w planes are contiguous: lengths
-    come from `geometry.edge_lengths`, the one length routine, which the
-    curve's own `total_length` also uses; the basis on the curvature
-    grid, which static clearance shares, is read from the table here; and
-    the VO samples come from the rows themselves, which
-    `velocity_obstacle.path_depth` takes as it takes one curve's. The
-    samples are scored by `_violations`, as `constraint_violations`
-    scores one curve's; only the sampling differs. The per-curve check
-    takes its curvature grid from `NurbsCurve.positions_and_curvatures`
-    and its VO depth from `path_vo_violation`, which calls `path_depth`
-    on the curve's own control points. Agrees with apply_delta +
-    total_length + constraint_violations to rounding. Rows are applied as
-    given, unclipped: the optimizer keeps them inside `delta_bounds`.
+    vector, so every candidate of the cycle, and the plan, shares one
+    B-spline basis and one piecewise Bezier table. `score` takes P curves
+    as the (3P, n) component-major homogeneous control-point rows that
+    `geometry.apply_delta_batch` returns, with their length grids from
+    `geometry.edge_lengths`, the one length routine: a search chunk's
+    grid gives its lengths too, and one curve's is the cached grid its
+    `total_length` reads. Sampling costs a few products of the basis with
+    the rows, each a single matmul whose x, y and w planes are contiguous.
+    The basis on the curvature grid, which static clearance shares, is
+    read from the piece table once, at the verification's density
+    (4 * 63 + 1 parameters); the search reads every fourth row, its
+    64-point grid, bit for bit. The VO samples come from the rows
+    themselves through `velocity_obstacle.path_depth`. `_violations`
+    scores the samples. The search's rows (`evaluate`), one curve's
+    (`constraint_violations`) and the plan's (`verify`) all go through
+    `score`, so they agree bit for bit on shared samples. Rows are applied
+    as given, unclipped: the optimizer keeps them inside `delta_bounds`.
     """
 
     def __init__(self, base: NurbsCurve, statics, dynamics,
@@ -258,34 +235,64 @@ class _CycleKernel:
         self.base = base
         self.config = config
         self.speed = speed
-        self.curv_grid = np.linspace(0.0, 1.0, N_CURV_SAMPLES)
-        self.curv_basis = geometry.piece_basis(base.knots, base.degree,
-                                               self.curv_grid, 2)
+        self.grid = np.linspace(0.0, 1.0, 4 * (N_CURV_SAMPLES - 1) + 1)
+        self.basis = geometry.piece_basis(base.knots, base.degree, self.grid, 2)
         self.centers, self.clearance = _static_discs(statics, config)
         self.sensed = dynamics
         self.movers = velocity_obstacle.obstacle_arrays(dynamics,
                                                         config.margin)
 
-    def evaluate(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Path lengths (P,) and [static, curvature, VO] violations (P, 3)."""
+    def score(self, hom_rows: np.ndarray, cum: np.ndarray, curve_of,
+              density: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """[static, curvature, VO] violations (P, 3) and grid curvatures
+        (P, m) of P curves on the base knot vector, from their rows
+        (3P, n) and length grids (P, K + 1) (`geometry.edge_lengths`), with
+        each gap between the search's curvature-grid and between its VO
+        samples split into `density` (1, 2 or 4) gaps. `curve_of(p)` builds
+        row p's curve, called only for a row whose tangent vanishes on the
+        grid."""
         knots, degree = self.base.knots, self.base.degree
-        hom_rows = geometry.apply_delta_batch(self.base, xs)
-        n_var = xs.shape[0]
-        cum = geometry.edge_lengths(knots, degree, hom_rows)
-        # Curvature-grid derivatives of every candidate, shape (2, P, m).
+        n_var = hom_rows.shape[0] // 3
+        step = 4 // density
+        # Curvature-grid derivatives of every row, shape (2, P, m).
         c0, c1, c2 = geometry.rational_derivatives(
-            [(hom_rows @ b.T).reshape(3, n_var, -1) for b in self.curv_basis])
+            [(hom_rows @ b[::step].T).reshape(3, n_var, -1)
+             for b in self.basis])
         kappa, ok = geometry.curvature_values(c1, c2)
         for p in np.nonzero(~ok.all(axis=1))[0]:
-            # A vanishing tangent: the scalar path's offset rule, this row only.
-            kappa[p] = geometry.apply_delta(self.base,
-                                            xs[p]).curvatures(self.curv_grid)
-        return cum[:, -1], _violations(
+            # A vanishing tangent: the curve's offset rule, this row only.
+            kappa[p] = curve_of(p).curvatures(self.grid[::step])
+        return _violations(
             c0, kappa, self.sensed,
             lambda: velocity_obstacle.path_depth(
                 knots, degree, hom_rows, cum, self.speed, self.movers,
-                self.config.tau, N_VO_SAMPLES),
-            self.centers, self.clearance, self.config)
+                self.config.tau, density * (N_VO_SAMPLES - 1) + 1),
+            self.centers, self.clearance, self.config), kappa
+
+    def evaluate(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Path lengths (P,) and [static, curvature, VO] violations (P, 3)
+        of the base's variations xs (P, dim): the search's evaluator."""
+        rows = geometry.apply_delta_batch(self.base, xs)
+        cum = geometry.edge_lengths(self.base.knots, self.base.degree, rows)
+        return cum[:, -1], self.score(
+            rows, cum, lambda p: geometry.apply_delta(self.base, xs[p]))[0]
+
+    def verify(self, plan: NurbsCurve) -> tuple[bool, dict]:
+        """Re-check a plan on the base knot vector at 4x density: 253
+        curvature-grid and 77 VO samples, which hold the search's 64 and 20
+        bit for bit. The curvature peak search starts from the same grid's
+        curvatures. The plan's own length grid is read, which the next
+        cycle's cut reads again."""
+        (v,), (kappa,) = self.score(plan.homogeneous.T,
+                                    plan.length_grid[1][None],
+                                    lambda p: plan, 4)
+        if not self.config.disable_curvature:
+            k_peak, _ = plan.max_curvature(kappa.size, kappa=kappa)
+            v[1] = max(v[1], max(0.0, k_peak - self.config.kappa_max
+                                 - KAPPA_SLACK))
+        violations = {"obstacle": float(v[0]), "curvature": float(v[1]),
+                      "vo": float(v[2])}
+        return bool(np.all(v <= FEAS_EPS)), violations
 
 
 def _real_gain(best, f0: float, v0: float) -> bool:
@@ -322,10 +329,10 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
         return None
 
     remaining = cut.total_length()
+    kernel = _CycleKernel(cut, statics, sensed, config, uav_state.speed)
     plan, f, evals, delta = cut, remaining, 0, None
     if geometry.movable_count(cut) >= 1:
         lower, upper = delta_bounds(cut, config)
-        kernel = _CycleKernel(cut, statics, sensed, config, uav_state.speed)
         problem = ProblemDef(dimension=lower.size, lower=lower, upper=upper,
                              batch=kernel.evaluate)
         deadline = None if config.budget_mode else 0.8 * config.t_replan
@@ -340,8 +347,7 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
             plan = geometry.apply_delta(cut, best.x)
             f, delta = best.f, np.array(best.x)
 
-    feasible, violations = _verify(plan, statics, sensed, config,
-                                   uav_state.speed)
+    feasible, violations = kernel.verify(plan)
     return ReplanResult(curve=plan, feasible=feasible, f=f,
                         violations=violations,
                         wall_time=time.perf_counter() - t0, evals=evals,

@@ -16,9 +16,9 @@ One sampling rule serves every path, and it is the only curve knowledge
 here: `path_depth` spreads the samples uniformly over the first
 min(speed * tau, length) metres and times them at arc length / speed;
 `geometry.derivatives_at_lengths` finds and evaluates them. Both callers
-pass control-point rows and their length grids: the planner's search
-kernel a chunk of candidates', `path_vo_violation` one curve's
-`homogeneous.T` and `length_grid`.
+pass control-point rows and their length grids: the planner's kernel
+those of a chunk of candidates or of the plan it verifies,
+`path_vo_violation` one curve's `homogeneous.T` and `length_grid`.
 """
 
 from __future__ import annotations
@@ -168,9 +168,10 @@ def path_vo_violation(curve: NurbsCurve, speed: float, obstacles,
                       margin: float, tau: float, n_samples: int) -> float:
     """Total truncated-VO violation depth along the first speed * tau
     metres of the path (all of it, when shorter): `path_depth` on the
-    curve's own control points and length grid, with n_samples samples
-    (planner.N_VO_SAMPLES in constraint_violations). Zero iff the sampled
-    constraint holds.
+    curve's own control points and length grid, with n_samples samples.
+    Zero iff the sampled constraint holds. The planner scores VO through
+    `path_depth` alone; this per-curve form stays for the benchmark's
+    tracer, which patches `planner.path_vo_violation` (ROADMAP item 1).
     """
     if n_samples < 2:
         raise ValueError("need at least two VO samples")

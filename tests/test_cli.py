@@ -409,6 +409,11 @@ def test_plot_is_wellformed_svg(tmp_path):
     root = ET.parse(svg).getroot()
     assert root.tag.endswith("svg")
     assert float(root.get("width").rstrip("px")) > 0
+    # A log with no positions has nothing to frame: an error, no file.
+    empty = tmp_path / "empty.svg"
+    with pytest.raises(ValueError, match="cannot plot an empty log"):
+        emit_plot(SimLog(), World(), [], empty)
+    assert not empty.exists()
 
 
 def test_plot_leaves_out_movers_that_spawn_after_the_log(tmp_path):

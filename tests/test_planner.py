@@ -9,11 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nurbsnav import geometry, lshade
+from nurbsnav import geometry, lshade, planner
 from nurbsnav.geometry import NurbsCurve
 from nurbsnav.lshade import OptimizerConfig
 from nurbsnav.planner import (PlannerConfig, Waypoint, _CycleKernel,
-                              _verify, constraint_violations,
+                              constraint_violations,
                               cut_path_at_projection, delta_bounds,
                               initial_path, mission_loop, replan_cycle)
 from nurbsnav.scenario import ScenarioError, load_scenario, parse_scenario
@@ -162,7 +162,7 @@ def test_violations_flag_excess_curvature():
     assert v_curv > 0.0
 
 
-def test_verification_keeps_the_search_samples():
+def test_verification_keeps_the_search_samples(monkeypatch):
     # The 4x verifier's grid holds the search's 64 curvature-grid
     # parameters, so clearance lost at one of them, here by 1e-5 m at the
     # eleventh, is not verified away between its own samples.
@@ -176,9 +176,43 @@ def test_verification_keeps_the_search_samples():
                           radius=2.0)
     v = constraint_violations(curve, [disc], [], config, speed=15.0)
     assert v[0] == pytest.approx(1e-5, rel=1e-6)
-    feasible, violations = _verify(curve, [disc], [], config, 15.0)
+    feasible, violations = _CycleKernel(curve, [disc], [], config,
+                                        15.0).verify(curve)
     assert not feasible
     assert violations["obstacle"] == pytest.approx(v[0], rel=1e-9)
+
+    # On the kernel-test bases and each of their candidates, scored as one
+    # plan is verified, every fourth sample of the 4x grid is the 1x
+    # sample bit for bit, points and curvatures alike, and a candidate's
+    # 1x samples are those the search scored in its batch: `_violations`
+    # sees them as they are scored.
+    scored = []
+
+    def spy(points, kappa, *rest):
+        scored.append((points, kappa))
+        return violations_of(points, kappa, *rest)
+
+    violations_of = planner._violations
+    monkeypatch.setattr(planner, "_violations", spy)
+    rng = np.random.default_rng(5)
+    for base, statics, movers, config in _kernel_cases():
+        lower, upper = delta_bounds(base, config)
+        kernel = _CycleKernel(base, statics, movers, config, 15.0)
+        xs = _kernel_candidates(base, lower, upper, rng)
+        kernel.evaluate(xs)
+        batch_points, batch_kappa = scored[-1]
+        for p, curve in enumerate([geometry.apply_delta(base, x) for x in xs]
+                                  + [base]):
+            for density in (4, 1):
+                kernel.score(curve.homogeneous.T, curve.length_grid[1][None],
+                             lambda _: curve, density)
+            (points4, kappa4), (points1, kappa1) = scored[-2:]
+            assert kappa4.shape == (1, 4 * (config.n_curv_samples - 1) + 1)
+            assert np.array_equal(points4[:, :, ::4], points1)
+            assert np.array_equal(kappa4[:, ::4], kappa1)
+            if p < len(xs):
+                assert np.array_equal(points1[:, 0], batch_points[:, p])
+                assert np.array_equal(kappa1[0], batch_kappa[p])
 
 
 # -- batched candidate evaluation -----------------------------------------
@@ -240,7 +274,8 @@ def test_batch_kernel_matches_scalar_path():
     cases = _kernel_cases()
     assert cases[0][0]._end_spacing[0] is not None
     assert cases[1][0]._end_spacing[0] is None  # lam1 inert after the cut
-    # Each switch drops its family from both paths alike.
+    # Each switch drops its family from the search and the per-curve
+    # check alike, and both read one sampler: they agree bit for bit.
     for switch in ({}, {"disable_curvature": True}, {"disable_vo": True}):
         rng = np.random.default_rng(5)
         for base, statics, movers, config in cases:
@@ -264,9 +299,7 @@ def test_batch_kernel_matches_scalar_path():
                                                             movers, config,
                                                             15.0)])
                 got = np.concatenate([[f], v])
-                assert np.all(np.abs(got - ref)
-                              <= np.maximum(1e-9 * np.abs(ref), 1e-12)), \
-                    (got, ref)
+                assert np.array_equal(got, ref), (got, ref)
 
 
 def test_length_grid_accuracy_on_search_candidates():
@@ -319,14 +352,13 @@ def test_batch_kernel_matches_scalar_path_on_short_cut():
                               constraint_violations(curve, statics, movers,
                                                     config, 15.0)])
         got = np.concatenate([[f], v])
-        assert np.all(np.abs(got - ref) <= np.maximum(1e-9 * np.abs(ref),
-                                                      1e-12)), (got, ref)
+        assert np.array_equal(got, ref), (got, ref)
 
 
 def test_batch_kernel_zero_tangent_takes_offset_curvature():
     # Moving the first movable point by -C'(u) / B_4'(u) stops the tangent
     # at a curvature-grid parameter u, where the kernel hands the row to
-    # the scalar path's symmetric-offset rule.
+    # the curve's own symmetric-offset rule.
     config = fast_config(n_interior=2)
     w0 = Waypoint(position=np.array([0.0, 0.0]), heading=0.3)
     w1 = Waypoint(position=np.array([100.0, 10.0]), heading=-0.2)
@@ -342,8 +374,7 @@ def test_batch_kernel_zero_tangent_takes_offset_curvature():
     ref = np.concatenate([[curve.total_length()],
                           constraint_violations(curve, [], [], config, 15.0)])
     assert ref[2] > 0.0
-    assert np.all(np.abs(got - ref) <= np.maximum(1e-9 * np.abs(ref),
-                                                  1e-12)), (got, ref)
+    assert np.array_equal(got, ref), (got, ref)
 
 
 def test_piece_form_cache_builds_each_knot_vector_once(monkeypatch):
