@@ -5,7 +5,9 @@ Fukunaga, CEC 2014).
 current-to-pbest/1 mutation with an external archive (Storn & Price 1997;
 Zhang & Sanderson 2009), binomial crossover, Cauchy/normal parameter
 sampling around a circular success memory, and Deb feasibility rules for
-selection. Generation-synchronous: every trial of a generation is drawn
+selection. The rules compare objectives only between feasible rows, so
+an infeasible row's objective is never read and may be NaN.
+Generation-synchronous: every trial of a generation is drawn
 from the same population and archive, the trials are evaluated as one
 batch, and selection, archive and success-memory updates follow. The
 population is held as arrays (positions `(n, dimension)`, objectives and
@@ -43,7 +45,10 @@ class ProblemDef:
     Either `objective(x)` with optional `constraints(x)`, or `batch(X)`
     evaluating a (P, dimension) array at once and returning objectives (P,)
     and violations (P, k). Violations are non-negative magnitudes;
-    feasibility means every entry is zero. All callables must be pure.
+    feasibility means every entry is zero. The batch evaluator may return
+    NaN objectives on infeasible rows: no rule reads them (see
+    `feasibility_key`), and the success gain of a replaced infeasible
+    parent is its drop in violation. All callables must be pure.
     """
 
     dimension: int
@@ -126,7 +131,8 @@ class OptimizerStats:
     generations: int = 0
     # Objective and total violation of row 0 of the initial population,
     # the first warm start when one is given; the probe chunk always
-    # evaluates it.
+    # evaluates it. The objective is NaN when the batch evaluator leaves
+    # out an infeasible row's objective.
     first_f: float = None
     first_violation: float = None
 
@@ -350,6 +356,9 @@ def optimize(problem: ProblemDef, config: OptimizerConfig,
             if select(best.f, best.violation, trial_f[j], trial_v[j]):
                 best = Individual(x=trials[j].copy(), f=float(trial_f[j]),
                                   violation=float(trial_v[j]))
+        # A winner keeps its parent's violation only if both are feasible,
+        # so the objective branch is taken only between real objectives;
+        # where it is not taken, a NaN objective gives a NaN, not a warning.
         gain = np.where(pop_v[win] != trial_v[win], pop_v[win] - trial_v[win],
                         pop_f[win] - trial_f[win])
         archive = update_archive(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import cache, partial
 
 import numpy as np
 
@@ -167,7 +168,8 @@ def constraint_violations(candidate: NurbsCurve, statics, dynamics,
     candidate bit for bit.
     """
     kernel = _CycleKernel(candidate, statics, dynamics, config, speed)
-    return kernel.score(candidate.homogeneous.T, candidate.length_grid[1][None],
+    return kernel.score(candidate.homogeneous.T,
+                        lambda: candidate.length_grid[1][None],
                         lambda p: candidate)[0][0]
 
 
@@ -214,10 +216,14 @@ class _CycleKernel:
     vector, so every candidate of the cycle, and the plan, shares one
     B-spline basis and one piecewise Bezier table. `score` takes P curves
     as the (3P, n) component-major homogeneous control-point rows that
-    `geometry.apply_delta_batch` returns, with their length grids from
-    `geometry.edge_lengths`, the one length routine: a search chunk's
-    grid gives its lengths too, and one curve's is the cached grid its
-    `total_length` reads. Sampling costs a few products of the basis with
+    `geometry.apply_delta_batch` returns, with a callable that gives their
+    length grids from `geometry.edge_lengths`, the one length routine.
+    Only the VO reads the grid, so it is built only when the VO is
+    scored: one curve's is the cached grid its `total_length` reads, and
+    a search chunk's gives its lengths too. Without a sensed mover, a
+    chunk's grid is built only for its feasible rows, whose lengths are
+    the objective; an infeasible row's objective is NaN, which Deb's
+    rules never read. Sampling costs a few products of the basis with
     the rows, each a single matmul whose x, y and w planes are contiguous.
     The basis on the curvature grid, which static clearance shares, is
     read from the piece table once, at the verification's density
@@ -242,15 +248,16 @@ class _CycleKernel:
         self.movers = velocity_obstacle.obstacle_arrays(dynamics,
                                                         config.margin)
 
-    def score(self, hom_rows: np.ndarray, cum: np.ndarray, curve_of,
+    def score(self, hom_rows: np.ndarray, lengths, curve_of,
               density: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """[static, curvature, VO] violations (P, 3) and grid curvatures
         (P, m) of P curves on the base knot vector, from their rows
-        (3P, n) and length grids (P, K + 1) (`geometry.edge_lengths`), with
-        each gap between the search's curvature-grid and between its VO
-        samples split into `density` (1, 2 or 4) gaps. `curve_of(p)` builds
-        row p's curve, called only for a row whose tangent vanishes on the
-        grid."""
+        (3P, n), with each gap between the search's curvature-grid and
+        between its VO samples split into `density` (1, 2 or 4) gaps.
+        `lengths()` gives their length grids (P, K + 1)
+        (`geometry.edge_lengths`), called only when the VO is scored.
+        `curve_of(p)` builds row p's curve, called only for a row whose
+        tangent vanishes on the grid."""
         knots, degree = self.base.knots, self.base.degree
         n_var = hom_rows.shape[0] // 3
         step = 4 // density
@@ -262,29 +269,55 @@ class _CycleKernel:
         for p in np.nonzero(~ok.all(axis=1))[0]:
             # A vanishing tangent: the curve's offset rule, this row only.
             kappa[p] = curve_of(p).curvatures(self.grid[::step])
+        # Freed before the VO builds the length grid, whose temporaries
+        # would otherwise raise the peak of live arrays: every new peak
+        # costs minor page faults (ROADMAP item 13).
+        del c1, c2
         return _violations(
             c0, kappa, self.sensed,
             lambda: velocity_obstacle.path_depth(
-                knots, degree, hom_rows, cum, self.speed, self.movers,
+                knots, degree, hom_rows, lengths(), self.speed, self.movers,
                 self.config.tau, density * (N_VO_SAMPLES - 1) + 1),
             self.centers, self.clearance, self.config), kappa
 
     def evaluate(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Path lengths (P,) and [static, curvature, VO] violations (P, 3)
-        of the base's variations xs (P, dim): the search's evaluator."""
+        of the base's variations xs (P, dim): the search's evaluator.
+
+        The length grid is built only for rows whose lengths something
+        reads. When the VO is scored it reads every row's grid, and every
+        length is returned. Otherwise only the feasible rows' grid is
+        built, and an infeasible row's length is NaN: Deb's rules compare
+        objectives only between feasible rows."""
+        knots, degree = self.base.knots, self.base.degree
         rows = geometry.apply_delta_batch(self.base, xs)
-        cum = geometry.edge_lengths(self.base.knots, self.base.degree, rows)
-        return cum[:, -1], self.score(
-            rows, cum, lambda p: geometry.apply_delta(self.base, xs[p]))[0]
+        cum = None
+
+        def lengths() -> np.ndarray:
+            nonlocal cum
+            cum = geometry.edge_lengths(knots, degree, rows)
+            return cum
+
+        v = self.score(rows, lengths,
+                       lambda p: geometry.apply_delta(self.base, xs[p]))[0]
+        if cum is not None:
+            return cum[:, -1], v
+        f = np.full(len(xs), np.nan)
+        feasible = ~np.any(v > 0.0, axis=1)
+        if feasible.any():
+            sub = rows.reshape(3, len(xs), -1)[:, feasible]
+            f[feasible] = geometry.edge_lengths(
+                knots, degree, sub.reshape(-1, rows.shape[1]))[:, -1]
+        return f, v
 
     def verify(self, plan: NurbsCurve) -> tuple[bool, dict]:
         """Re-check a plan on the base knot vector at 4x density: 253
         curvature-grid and 77 VO samples, which hold the search's 64 and 20
         bit for bit. The curvature peak search starts from the same grid's
-        curvatures. The plan's own length grid is read, which the next
-        cycle's cut reads again."""
+        curvatures. The VO reads the plan's own length grid, which the
+        cycle's result and the next cycle's cut read anyway."""
         (v,), (kappa,) = self.score(plan.homogeneous.T,
-                                    plan.length_grid[1][None],
+                                    lambda: plan.length_grid[1][None],
                                     lambda p: plan, 4)
         if not self.config.disable_curvature:
             k_peak, _ = plan.max_curvature(kappa.size, kappa=kappa)
@@ -295,9 +328,14 @@ class _CycleKernel:
         return bool(np.all(v <= FEAS_EPS)), violations
 
 
-def _real_gain(best, f0: float, v0: float) -> bool:
-    """Whether an optimized candidate beats the neutral delta by more than
-    rounding: less total violation, or as little and a shorter path.
+def _real_gain(best, length, v0: float, f0: float) -> bool:
+    """Whether the search's best beats the neutral delta (violation v0,
+    path length f0) by more than rounding: less total violation, or as
+    little and a shorter path.
+
+    Only that tie reads the best's length: its objective `best.f` when it
+    is feasible, else `length()`, the length of the curve it builds, since
+    the search's objective of an infeasible row may be NaN.
 
     Many variations leave the curve itself unchanged (collinear control
     points slid along their line, their weights, an inert spacing factor)
@@ -307,8 +345,10 @@ def _real_gain(best, f0: float, v0: float) -> bool:
     """
     if best.violation < v0 * (1.0 - GAIN_RTOL):
         return True
-    return best.violation <= v0 * (1.0 + GAIN_RTOL) \
-        and best.f < f0 * (1.0 - GAIN_RTOL)
+    if best.violation > v0 * (1.0 + GAIN_RTOL):
+        return False
+    f = best.f if best.violation == 0.0 else length()
+    return f < f0 * (1.0 - GAIN_RTOL)
 
 
 def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
@@ -330,7 +370,7 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
 
     remaining = cut.total_length()
     kernel = _CycleKernel(cut, statics, sensed, config, uav_state.speed)
-    plan, f, evals, delta = cut, remaining, 0, None
+    plan, evals, delta = cut, 0, None
     if geometry.movable_count(cut) >= 1:
         lower, upper = delta_bounds(cut, config)
         problem = ProblemDef(dimension=lower.size, lower=lower, upper=upper,
@@ -341,14 +381,14 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
         if warm_delta is not None:
             warm.append(geometry.align_delta(warm_delta, cut))
         best, stats = optimize(problem, opt_cfg, warm_start=warm)
-        evals = stats.evaluations
-        f, delta = stats.first_f, warm[0]
-        if _real_gain(best, stats.first_f, stats.first_violation):
-            plan = geometry.apply_delta(cut, best.x)
-            f, delta = best.f, np.array(best.x)
+        evals, delta = stats.evaluations, warm[0]
+        candidate = cache(partial(geometry.apply_delta, cut, best.x))
+        if _real_gain(best, lambda: candidate().total_length(),
+                      stats.first_violation, remaining):
+            plan, delta = candidate(), np.array(best.x)
 
     feasible, violations = kernel.verify(plan)
-    return ReplanResult(curve=plan, feasible=feasible, f=f,
+    return ReplanResult(curve=plan, feasible=feasible, f=plan.total_length(),
                         violations=violations,
                         wall_time=time.perf_counter() - t0, evals=evals,
                         delta=delta, remaining_length=remaining)

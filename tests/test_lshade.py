@@ -1,7 +1,9 @@
 """Optimizer tests: selection rules, parameter adaptation, trial
 generation contracts, convergence, and the deadline/determinism behavior."""
 
+import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -402,6 +404,42 @@ def test_batch_evaluation_matches_scalar_per_seed():
         assert best.f == runs[0][0].f
         assert (stats.evaluations, stats.generations) == \
             (runs[0][1].evaluations, runs[0][1].generations)
+
+
+def test_nan_objectives_on_infeasible_rows_change_nothing():
+    # Deb's rules compare objectives only between feasible rows, so a
+    # batch evaluator may leave an infeasible row's objective out as NaN:
+    # the search is the same, and no arithmetic on the NaN warns. One
+    # constraint is met on half the box, the other nowhere, so the best
+    # stays infeasible and its objective NaN.
+    for offset in (1.0, 20.0):
+        def batch(xs, leave_out):
+            f = np.sum(xs * xs, axis=1)
+            v = np.maximum(0.0, offset - xs[:, :1] - xs[:, 1:2])
+            if leave_out:
+                f[v[:, 0] > 0.0] = np.nan
+            return f, v
+
+        runs = []
+        for leave_out in (False, True):
+            problem = ProblemDef(
+                dimension=3, lower=np.full(3, -5.0), upper=np.full(3, 5.0),
+                batch=lambda xs, leave_out=leave_out: batch(xs, leave_out))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                runs.append(optimize(problem, OptimizerConfig(
+                    budget=700, n_init=30, seed=2), warm_start=np.zeros(3)))
+        (real, real_stats), (left, left_stats) = runs
+        assert np.array_equal(left.x, real.x)
+        assert left.violation == real.violation
+        assert (left_stats.evaluations, left_stats.generations) == \
+            (real_stats.evaluations, real_stats.generations)
+        assert left_stats.first_violation == real_stats.first_violation
+        assert math.isnan(left_stats.first_f)
+        if offset == 1.0:
+            assert left.violation == 0.0 and left.f == real.f
+        else:
+            assert left.violation > 0.0 and math.isnan(left.f)
 
 
 def test_batched_deadline_overrun_about_one_candidate():

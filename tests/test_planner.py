@@ -204,7 +204,8 @@ def test_verification_keeps_the_search_samples(monkeypatch):
         for p, curve in enumerate([geometry.apply_delta(base, x) for x in xs]
                                   + [base]):
             for density in (4, 1):
-                kernel.score(curve.homogeneous.T, curve.length_grid[1][None],
+                kernel.score(curve.homogeneous.T,
+                             lambda: curve.length_grid[1][None],
                              lambda _: curve, density)
             (points4, kappa4), (points1, kappa1) = scored[-2:]
             assert kappa4.shape == (1, 4 * (config.n_curv_samples - 1) + 1)
@@ -270,6 +271,23 @@ def _kernel_candidates(base, lower, upper, rng):
     return xs
 
 
+def _check_kernel_rows(base, xs, lengths, violations, statics, movers,
+                       config):
+    """Each kernel row against the per-curve path: violations bit for bit
+    on every row. Lengths bit for bit wherever something reads them: on
+    every row while a mover is scored, else on the feasible rows, whose
+    lengths are the objective. NaN on the other infeasible rows."""
+    vo_scored = bool(movers) and not config.disable_vo
+    for x, f, v in zip(xs, lengths, violations):
+        curve = geometry.apply_delta(base, x)
+        ref = constraint_violations(curve, statics, movers, config, 15.0)
+        assert np.array_equal(v, ref), (v, ref)
+        if vo_scored or not np.any(v > 0.0):
+            assert f == curve.total_length(), (f, curve.total_length())
+        else:
+            assert np.isnan(f)
+
+
 def test_batch_kernel_matches_scalar_path():
     cases = _kernel_cases()
     assert cases[0][0]._end_spacing[0] is not None
@@ -289,17 +307,13 @@ def test_batch_kernel_matches_scalar_path():
             assert np.array_equal(np.any(violations > 0.0, axis=0),
                                   [True, not config.disable_curvature,
                                    not config.disable_vo])
-            for i, (x, f, v) in enumerate(zip(xs, lengths, violations)):
-                curve = geometry.apply_delta(base, x)
-                if base is cases[0][0] and i in (1, 2):
+            if base is cases[0][0]:
+                for i in (1, 2):
+                    curve = geometry.apply_delta(base, xs[i])
                     assert np.any(curve.weights
                                   == (geometry.W_MIN, geometry.W_MAX)[i - 1])
-                ref = np.concatenate([[curve.total_length()],
-                                      constraint_violations(curve, statics,
-                                                            movers, config,
-                                                            15.0)])
-                got = np.concatenate([[f], v])
-                assert np.array_equal(got, ref), (got, ref)
+            _check_kernel_rows(base, xs, lengths, violations, statics, movers,
+                               config)
 
 
 def test_length_grid_accuracy_on_search_candidates():
@@ -320,17 +334,22 @@ def test_length_grid_accuracy_on_search_candidates():
     assert max(errors) <= 2.7e-4
 
 
-def test_batch_kernel_matches_scalar_path_on_short_cut():
-    # The cut is shorter than speed * tau, so every candidate's VO samples
-    # are spread over its own length, not over speed * tau.
-    config = fast_config(r_safe=5.0)
+def _short_cut(config):
+    """The rest of a 70 m leg, cut with the vehicle 30 m along it."""
     w0 = Waypoint(position=np.array([0.0, 0.0]), heading=0.3)
     w1 = Waypoint(position=np.array([70.0, 6.0]), heading=-0.2)
     path = initial_path(w0, w1, config)
     c0, c1 = path.derivatives(path.param_at_length(30.0), order=1)
     state = UavState(position=c0[0], heading=math.atan2(c1[0, 1], c1[0, 0]),
                      speed=15.0)
-    base, _ = cut_path_at_projection(path, state, config.t_replan)
+    return cut_path_at_projection(path, state, config.t_replan)[0]
+
+
+def test_batch_kernel_matches_scalar_path_on_short_cut():
+    # The cut is shorter than speed * tau, so every candidate's VO samples
+    # are spread over its own length, not over speed * tau.
+    config = fast_config(r_safe=5.0)
+    base = _short_cut(config)
     movers = []
     for arc, t_cross, vel in ((12.0, 1.2, [1.0, 6.0]), (28.0, 2.1, [-4.0, -5.0])):
         cross = base.point(base.param_at_length(arc))
@@ -346,13 +365,28 @@ def test_batch_kernel_matches_scalar_path_on_short_cut():
     lengths, violations = kernel.evaluate(xs)
     assert np.all(lengths < 15.0 * config.tau)
     assert np.all(np.any(violations > 0.0, axis=0))
-    for x, f, v in zip(xs, lengths, violations):
-        curve = geometry.apply_delta(base, x)
-        ref = np.concatenate([[curve.total_length()],
-                              constraint_violations(curve, statics, movers,
-                                                    config, 15.0)])
-        got = np.concatenate([[f], v])
-        assert np.array_equal(got, ref), (got, ref)
+    _check_kernel_rows(base, xs, lengths, violations, statics, movers, config)
+
+
+def test_batch_kernel_without_movers_reads_only_feasible_lengths():
+    # No mover is sensed, so only the feasible rows' lengths are built:
+    # small variations of the short cut beside a disc, some clear of it
+    # and within the curvature bound, some not.
+    config = fast_config(r_safe=5.0)
+    base = _short_cut(config)
+    beside = base.point(base.param_at_length(20.0)) + [0.0, 7.1]
+    statics = [StaticObstacle(center=beside, radius=2.0)]
+    lower, upper = delta_bounds(base, config)
+    rng = np.random.default_rng(6)
+    xs = geometry.neutral_delta(base) \
+        + 0.03 * (rng.random((24, lower.size)) - 0.5) * (upper - lower)
+    lengths, violations = _CycleKernel(base, statics, [], config,
+                                       15.0).evaluate(xs)
+    feasible = ~np.any(violations > 0.0, axis=1)
+    assert 0 < np.count_nonzero(feasible) < len(xs)
+    assert np.all(np.any(violations[~feasible] > 0.0, axis=0)[:2])
+    assert np.array_equal(np.isnan(lengths), ~feasible)
+    _check_kernel_rows(base, xs, lengths, violations, statics, [], config)
 
 
 def test_batch_kernel_zero_tangent_takes_offset_curvature():
@@ -370,11 +404,8 @@ def test_batch_kernel_zero_tangent_takes_offset_curvature():
     curve = geometry.apply_delta(base, x)
     assert np.linalg.norm(curve.derivatives(u, order=1)[1]) < geometry.EPS_TANGENT
     lengths, violations = _CycleKernel(base, [], [], config, 15.0).evaluate(x[None])
-    got = np.concatenate([lengths, violations[0]])
-    ref = np.concatenate([[curve.total_length()],
-                          constraint_violations(curve, [], [], config, 15.0)])
-    assert ref[2] > 0.0
-    assert np.array_equal(got, ref), (got, ref)
+    assert violations[0, 1] > 0.0
+    _check_kernel_rows(base, x[None], lengths, violations, [], [], config)
 
 
 def test_piece_form_cache_builds_each_knot_vector_once(monkeypatch):
@@ -509,6 +540,59 @@ def test_replan_keeps_cut_without_real_gain():
         assert np.array_equal(result.curve.control_points, cut.control_points)
         assert np.array_equal(result.curve.weights, cut.weights)
         assert np.array_equal(result.delta, geometry.neutral_delta(cut))
+
+
+def test_infeasible_best_without_movers_reports_its_length():
+    # Every candidate is infeasible, so the search sees no length, yet the
+    # cycle reports the length of the plan it returns, in budget and in
+    # deadline mode. A disc too wide to clear within one cycle's box: the
+    # best is flown. A disc beside the cut's start, which no variation
+    # moves, on a straight leg: nothing beats the cut, which is flown.
+    w0, w1 = straight_mission()
+    state = UavState(position=np.array([0.0, 0.0]), heading=0.0, speed=15.0)
+    for budget_mode in (True, False):
+        config = fast_config(budget_mode=budget_mode)
+        curve = initial_path(w0, w1, config)
+        cut, _ = cut_path_at_projection(curve, state, config.t_replan)
+        beside = cut.point(0.0) + [0.0, 2.0 + config.margin - 0.3]
+        for disc, flies_cut in (
+                (StaticObstacle(center=[60.0, 0.0], radius=30.0), False),
+                (StaticObstacle(center=beside, radius=2.0), True)):
+            result = replan_cycle(curve, state, [], config, seed=0,
+                                  statics=[disc])
+            assert not result.feasible
+            assert result.evals > 0
+            assert np.array_equal(result.curve.control_points,
+                                  cut.control_points) == flies_cut
+            assert math.isfinite(result.f)
+            assert result.f == result.curve.total_length()
+
+
+def test_real_gain_tie_compares_real_lengths():
+    # On a violation tie the best wins only by a path shorter than the
+    # cut's by more than rounding. An infeasible best's objective is NaN
+    # in the search, so its length is measured on the curve it builds; a
+    # feasible best's objective is its length.
+    Individual = lshade.Individual
+    x, v0, f0 = np.zeros(3), 0.25, 100.0
+    shorter = f0 * (1.0 - 10.0 * planner.GAIN_RTOL)
+
+    def unread():
+        raise AssertionError("length read outside an infeasible tie")
+
+    tied = Individual(x=x, f=math.nan, violation=v0)
+    assert planner._real_gain(tied, lambda: shorter, v0, f0)
+    assert not planner._real_gain(tied, lambda: f0, v0, f0)
+    assert not planner._real_gain(tied, lambda: 101.0, v0, f0)
+    assert planner._real_gain(Individual(x=x, f=shorter, violation=0.0),
+                              unread, 0.0, f0)
+    assert not planner._real_gain(Individual(x=x, f=f0, violation=0.0),
+                                  unread, 0.0, f0)
+    # Less violation wins without reading a length, more loses so too.
+    assert planner._real_gain(Individual(x=x, f=math.nan, violation=0.1),
+                              unread, v0, f0)
+    assert not planner._real_gain(Individual(x=x, f=math.nan, violation=0.5),
+                                  unread, v0, f0)
 
 
 def test_replan_deterministic_per_seed():
