@@ -40,6 +40,12 @@ one source for the search and its verification alike. The
 velocity-obstacle rule decides where the samples go; this module places
 and evaluates them.
 
+The two curvature rules are stated once, over values the caller
+supplies: the vanishing-tangent rule (`offset_curvatures`) and the
+zoom on the curvature peak (`peak_curvature`). A curve applies them to
+its own samples, and the planner's search kernel to the samples it
+takes through `piece_basis`.
+
 The planner's decision vector is stated here and nowhere else. On a
 heading path of n control points, the PINNED points at each end (the
 endpoint and its collinear triple) hold the endpoint heading, and the
@@ -104,11 +110,11 @@ def validate_knots(knots: np.ndarray, degree: int) -> None:
         raise ValueError("knot vector must be non-decreasing")
     if not (np.all(knots[: degree + 1] == 0.0) and np.all(knots[-(degree + 1):] == 1.0)):
         raise ValueError("knot vector must be clamped on [0, 1]")
+    # The knots are sorted, so a run of degree + 1 equal interior knots is
+    # one whose ends, degree places apart, are equal.
     interior = knots[degree + 1: len(knots) - degree - 1]
-    if interior.size:
-        _, counts = np.unique(interior, return_counts=True)
-        if np.any(counts > degree):
-            raise ValueError("interior knot multiplicity exceeds the degree")
+    if np.any(interior[degree:] == interior[:-degree]):
+        raise ValueError("interior knot multiplicity exceeds the degree")
 
 
 def basis_matrices(knots: np.ndarray, degree: int, s: np.ndarray,
@@ -183,6 +189,60 @@ def curvature_values(c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.nda
     ok = speed2 > EPS_TANGENT**2
     kappa = np.where(ok, np.abs(cross) / np.where(ok, speed2, 1.0) ** 1.5, 0.0)
     return kappa, ok
+
+
+def offset_curvatures(c1: np.ndarray, c2: np.ndarray, s: np.ndarray,
+                      derivs) -> np.ndarray:
+    """Curvature of curves at the parameters s, from their C' and C''
+    there, components first (shape (2,) + S for any sample shape S; s
+    broadcasts to S, so one grid serves a stack of curves).
+
+    Each sample keeps its `curvature_values` unless its tangent vanishes
+    there, a parametric slowdown. Such a sample takes the larger curvature
+    from a symmetric offset of CURV_OFFSET instead of dividing by a
+    vanishing tangent; within CURV_OFFSET of a domain end only the inward
+    offset exists. One level only, with no recursion: where an offset's
+    tangent vanishes too (a stationary stretch), it reads zero.
+    `derivs(x)` gives C' and C'' of the same curves at parameters x of
+    shape S, each sample at its own; it is called, twice, only when some
+    tangent vanishes, with the offsets in place of those samples'
+    parameters.
+    """
+    kappa, ok = curvature_values(c1, c2)
+    if ok.all():
+        return kappa
+    off = np.where(ok, 0.0, CURV_OFFSET)
+    lo, hi = s - off, s + off
+    lo, hi = np.where(lo < 0.0, hi, lo), np.where(hi > 1.0, lo, hi)
+    k_lo, k_hi = (curvature_values(*derivs(x))[0] for x in (lo, hi))
+    return np.where(ok, kappa, np.maximum(k_lo, k_hi))
+
+
+def peak_curvature(curvatures, grid: np.ndarray,
+                   kappa: np.ndarray) -> tuple[float, float]:
+    """Peak curvature and its parameter, from the curvatures `kappa` on an
+    increasing grid of parameters and `curvatures(x)`, the same curve's
+    curvatures at parameters x.
+
+    A zoom on the bracket around the grid argmax (its neighbours on either
+    side): each round evaluates ZOOM_POINTS evenly spaced parameters across
+    the bracket in one call and narrows the bracket to the neighbours of
+    their argmax, until it is narrower than 1e-12 (about ten calls in
+    all). The largest curvature sampled is returned, so the result is
+    never below the grid maximum.
+    """
+    j = int(np.argmax(kappa))
+    k_best, s_best = kappa[j], grid[j]
+    while True:
+        # Each round rebinds grid and kappa to its own samples.
+        a, b = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
+        if b - a < 1e-12:
+            return float(k_best), float(s_best)
+        grid = np.linspace(a, b, ZOOM_POINTS)
+        kappa = curvatures(grid)
+        j = int(np.argmax(kappa))
+        if kappa[j] >= k_best:
+            k_best, s_best = kappa[j], grid[j]
 
 
 @lru_cache(maxsize=8)
@@ -606,37 +666,22 @@ class NurbsCurve:
             return c0[0]
         return c0
 
-    def _curvature_values(self, s_arr: np.ndarray, derivs=None) -> np.ndarray:
-        """Curvature at checked parameters; `derivs` are their components-
-        first derivatives when the caller already has them."""
-        _, c1, c2 = derivs if derivs is not None else self._derivs(s_arr, 2)
-        kappa, ok = curvature_values(c1, c2)
-        if not ok.all():
-            # Parametric slowdowns: take the larger curvature from a
-            # symmetric offset instead of dividing by a vanishing tangent.
-            # Within CURV_OFFSET of a domain end only the inward offset
-            # exists. One level only, with no recursion: where an offset's
-            # tangent vanishes too (a stationary stretch), it reads zero.
-            bad = np.nonzero(~ok)[0]
-            lo = s_arr[bad] - CURV_OFFSET
-            hi = s_arr[bad] + CURV_OFFSET
-            lo, hi = np.where(lo < 0.0, hi, lo), np.where(hi > 1.0, lo, hi)
-            _, d1, d2 = self._derivs(np.concatenate([lo, hi]), 2)
-            k, _ = curvature_values(d1, d2)
-            kappa[bad] = np.maximum(k[: bad.size], k[bad.size:])
-        return kappa
-
     def curvatures(self, s) -> np.ndarray:
-        """Curvature values for an array of parameters."""
-        return self._curvature_values(self._params(s))
+        """Curvature values for an array of parameters, by the
+        vanishing-tangent rule of `offset_curvatures`."""
+        s_arr = self._params(s)
+        _, c1, c2 = self._derivs(s_arr, 2)
+        return offset_curvatures(c1, c2, s_arr,
+                                 lambda x: self._derivs(x, 2)[1:])
 
     def positions_and_curvatures(self, s) -> tuple[np.ndarray, np.ndarray]:
         """Points and curvatures from a single derivative evaluation. No
         package module calls it; the benchmark's tracer patches it until
         ROADMAP item 1 re-points that span."""
         s_arr = self._params(s)
-        derivs = self._derivs(s_arr, 2)
-        return derivs[0].T, self._curvature_values(s_arr, derivs=derivs)
+        c0, c1, c2 = self._derivs(s_arr, 2)
+        return c0.T, offset_curvatures(c1, c2, s_arr,
+                                       lambda x: self._derivs(x, 2)[1:])
 
     # -- arc length -------------------------------------------------------
 
@@ -831,38 +876,13 @@ class NurbsCurve:
 
     # -- curvature peak ---------------------------------------------------
 
-    def max_curvature(self, n_samples: int = 200,
-                      kappa: np.ndarray | None = None) -> tuple[float, float]:
-        """Peak curvature and its parameter.
-
-        Uniform grid scan, then a zoom on the bracket around the grid
-        argmax (its neighbours on either side): each round evaluates
-        ZOOM_POINTS evenly spaced parameters across the bracket in one call
-        and narrows the bracket to the neighbours of their argmax, until it
-        is narrower than 1e-12 (about ten curve evaluations in all). The
-        largest curvature sampled is returned, so the result is never below
-        the grid maximum. A caller that already has the curvatures on the
-        grid, linspace(0, 1, n_samples), passes them as `kappa` and the
-        scan is skipped.
-        """
+    def max_curvature(self, n_samples: int = 200) -> tuple[float, float]:
+        """Peak curvature and its parameter: a scan of the uniform grid of
+        n_samples parameters, then the zoom of `peak_curvature`."""
         if n_samples < 2:
             raise ValueError("need at least two curvature samples")
         grid = np.linspace(0.0, 1.0, n_samples)
-        if kappa is None:
-            kappa = self._curvature_values(grid)
-        i = int(np.argmax(kappa))
-        k_best, s_best = kappa[i], grid[i]
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, n_samples - 1)]
-        while b - a >= 1e-12:
-            x = np.linspace(a, b, ZOOM_POINTS)
-            k = self._curvature_values(x)
-            j = int(np.argmax(k))
-            if k[j] >= k_best:
-                k_best, s_best = k[j], x[j]
-            a = x[max(j - 1, 0)]
-            b = x[min(j + 1, ZOOM_POINTS - 1)]
-        return float(k_best), float(s_best)
+        return peak_curvature(self.curvatures, grid, self.curvatures(grid))
 
     # -- serialization ----------------------------------------------------
 

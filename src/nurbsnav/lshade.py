@@ -121,19 +121,16 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.budget <= 0:
             raise ValueError("evaluation budget must be positive")
-        if self.deadline is not None and self.deadline <= 0.0:
-            raise ValueError("deadline must be positive when given")
+        if self.deadline is not None and not 0.0 < self.deadline < np.inf:
+            raise ValueError("deadline must be positive and finite when given")
 
 
 @dataclass
 class OptimizerStats:
     evaluations: int = 0
     generations: int = 0
-    # Objective and total violation of row 0 of the initial population,
-    # the first warm start when one is given; the probe chunk always
-    # evaluates it. The objective is NaN when the batch evaluator leaves
-    # out an infeasible row's objective.
-    first_f: float = None
+    # Total violation of row 0 of the initial population, the first warm
+    # start when one is given; the probe chunk always evaluates it.
     first_violation: float = None
 
 
@@ -324,7 +321,7 @@ def optimize(problem: ProblemDef, config: OptimizerConfig,
     n_first = min(n_init, config.budget)
     pop_f, pop_v = evaluate(pop_x[:n_first])
     timed_out = pop_f.size < n_first
-    stats.first_f, stats.first_violation = float(pop_f[0]), float(pop_v[0])
+    stats.first_violation = float(pop_v[0])
     pop_x = pop_x[:pop_f.size]
     i = rank(pop_f, pop_v)[0]
     best = Individual(x=pop_x[i].copy(), f=float(pop_f[i]),

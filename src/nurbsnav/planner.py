@@ -73,16 +73,20 @@ class PlannerConfig:
     margin = property(lambda self: self.r_safe + self.r_u)
 
     def __post_init__(self):
-        if self.t_replan <= 0.0:
-            raise ValueError("t_replan must be positive")
-        if self.tau <= self.t_replan:
-            raise ValueError("VO horizon tau must exceed t_replan")
-        if self.kappa_max <= 0.0:
-            raise ValueError("kappa_max must be positive")
-        if min(self.r_safe, self.r_view) <= 0.0 or self.r_u < 0.0:
-            raise ValueError("radii must be positive (r_u may be zero)")
+        # Each bound is written so that NaN fails it, as infinity does.
+        if not 0.0 < self.t_replan < math.inf:
+            raise ValueError("t_replan must be positive and finite")
+        if not self.t_replan < self.tau < math.inf:
+            raise ValueError("VO horizon tau must exceed t_replan and be finite")
+        if not 0.0 < self.kappa_max < math.inf:
+            raise ValueError("kappa_max must be positive and finite")
+        if not (0.0 < self.r_safe < math.inf and 0.0 < self.r_view < math.inf
+                and 0.0 <= self.r_u < math.inf):
+            raise ValueError("radii must be positive and finite (r_u may be zero)")
         if self.n_interior < 1:
             raise ValueError("need at least one movable interior point")
+        if not 0.0 < self.waypoint_tolerance < math.inf:
+            raise ValueError("waypoint_tolerance must be positive and finite")
 
     @property
     def rho_min(self) -> float:
@@ -169,8 +173,7 @@ def constraint_violations(candidate: NurbsCurve, statics, dynamics,
     """
     kernel = _CycleKernel(candidate, statics, dynamics, config, speed)
     return kernel.score(candidate.homogeneous.T,
-                        lambda: candidate.length_grid[1][None],
-                        lambda p: candidate)[0][0]
+                        lambda: candidate.length_grid[1][None])[0][0]
 
 
 def _static_discs(statics, config: PlannerConfig
@@ -228,12 +231,15 @@ class _CycleKernel:
     The basis on the curvature grid, which static clearance shares, is
     read from the piece table once, at the verification's density
     (4 * 63 + 1 parameters); the search reads every fourth row, its
-    64-point grid, bit for bit. The VO samples come from the rows
-    themselves through `velocity_obstacle.path_depth`. `_violations`
-    scores the samples. The search's rows (`evaluate`), one curve's
-    (`constraint_violations`) and the plan's (`verify`) all go through
-    `score`, so they agree bit for bit on shared samples. Rows are applied
-    as given, unclipped: the optimizer keeps them inside `delta_bounds`.
+    64-point grid, bit for bit. The curvatures follow
+    `geometry.offset_curvatures`, whose rare vanishing-tangent samples
+    `score` evaluates from their own rows, so no curve is built while the
+    search runs. The VO samples come from the rows themselves through
+    `velocity_obstacle.path_depth`. `_violations` scores the samples. The
+    search's rows (`evaluate`), one curve's (`constraint_violations`) and
+    the plan's (`verify`) all go through `score`, so they agree bit for
+    bit on shared samples. Rows are applied as given, unclipped: the
+    optimizer keeps them inside `delta_bounds`.
     """
 
     def __init__(self, base: NurbsCurve, statics, dynamics,
@@ -248,7 +254,7 @@ class _CycleKernel:
         self.movers = velocity_obstacle.obstacle_arrays(dynamics,
                                                         config.margin)
 
-    def score(self, hom_rows: np.ndarray, lengths, curve_of,
+    def score(self, hom_rows: np.ndarray, lengths,
               density: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """[static, curvature, VO] violations (P, 3) and grid curvatures
         (P, m) of P curves on the base knot vector, from their rows
@@ -256,8 +262,10 @@ class _CycleKernel:
         between its VO samples split into `density` (1, 2 or 4) gaps.
         `lengths()` gives their length grids (P, K + 1)
         (`geometry.edge_lengths`), called only when the VO is scored.
-        `curve_of(p)` builds row p's curve, called only for a row whose
-        tangent vanishes on the grid."""
+        A sample whose tangent vanishes takes the offset rule of
+        `geometry.offset_curvatures` from its own row, evaluated through
+        `geometry.piece_basis` as the grid basis is; every other sample
+        keeps the value the basis gives."""
         knots, degree = self.base.knots, self.base.degree
         n_var = hom_rows.shape[0] // 3
         step = 4 // density
@@ -265,10 +273,18 @@ class _CycleKernel:
         c0, c1, c2 = geometry.rational_derivatives(
             [(hom_rows @ b[::step].T).reshape(3, n_var, -1)
              for b in self.basis])
-        kappa, ok = geometry.curvature_values(c1, c2)
-        for p in np.nonzero(~ok.all(axis=1))[0]:
-            # A vanishing tangent: the curve's offset rule, this row only.
-            kappa[p] = curve_of(p).curvatures(self.grid[::step])
+
+        def offsets(x: np.ndarray) -> list:
+            """C' and C'' of each row at its own parameters x (P, m). The
+            offset tangents are ill-conditioned, so the rows are made
+            contiguous: each sum then runs in one order, whatever the
+            layout of the rows or their number."""
+            hom = np.ascontiguousarray(hom_rows).reshape(3, n_var, 1, -1)
+            return geometry.rational_derivatives(
+                [(hom * b.reshape(*x.shape, -1)).sum(axis=-1)
+                 for b in geometry.piece_basis(knots, degree, x.ravel(), 2)])[1:]
+
+        kappa = geometry.offset_curvatures(c1, c2, self.grid[::step], offsets)
         # Freed before the VO builds the length grid, whose temporaries
         # would otherwise raise the peak of live arrays: every new peak
         # costs minor page faults (ROADMAP item 13).
@@ -298,8 +314,7 @@ class _CycleKernel:
             cum = geometry.edge_lengths(knots, degree, rows)
             return cum
 
-        v = self.score(rows, lengths,
-                       lambda p: geometry.apply_delta(self.base, xs[p]))[0]
+        v = self.score(rows, lengths)[0]
         if cum is not None:
             return cum[:, -1], v
         f = np.full(len(xs), np.nan)
@@ -313,16 +328,17 @@ class _CycleKernel:
     def verify(self, plan: NurbsCurve) -> tuple[bool, dict]:
         """Re-check a plan on the base knot vector at 4x density: 253
         curvature-grid and 77 VO samples, which hold the search's 64 and 20
-        bit for bit. The curvature peak search starts from the same grid's
-        curvatures. The VO reads the plan's own length grid, which the
-        cycle's result and the next cycle's cut read anyway."""
+        bit for bit. The curvature peak, `geometry.peak_curvature`, starts
+        from the same grid's curvatures and zooms through the plan's own
+        cached coefficients, which the tracker reads again next cycle. The
+        VO reads the plan's own length grid, which the cycle's result and
+        the next cycle's cut read anyway."""
         (v,), (kappa,) = self.score(plan.homogeneous.T,
-                                    lambda: plan.length_grid[1][None],
-                                    lambda p: plan, 4)
+                                    lambda: plan.length_grid[1][None], 4)
         if not self.config.disable_curvature:
-            k_peak, _ = plan.max_curvature(kappa.size, kappa=kappa)
-            v[1] = max(v[1], max(0.0, k_peak - self.config.kappa_max
-                                 - KAPPA_SLACK))
+            k_peak = geometry.peak_curvature(plan.curvatures, self.grid, kappa)[0]
+            # v[1], a mean excess, is never negative.
+            v[1] = max(v[1], k_peak - self.config.kappa_max - KAPPA_SLACK)
         violations = {"obstacle": float(v[0]), "curvature": float(v[1]),
                       "vo": float(v[2])}
         return bool(np.all(v <= FEAS_EPS)), violations

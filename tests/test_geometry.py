@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nurbsnav
+from nurbsnav import geometry
 from nurbsnav.geometry import (PINNED, HeadingSpec, NurbsCurve, W_MIN,
                                _piece_form, apply_delta, basis_matrices,
                                build_path_with_headings, clamped_uniform_knots,
@@ -312,13 +313,13 @@ def test_max_curvature_matches_golden_section():
 
 def test_max_curvature_evaluation_count(monkeypatch):
     calls = []
-    original = NurbsCurve._curvature_values
+    original = geometry.offset_curvatures
 
-    def counting(self, s_arr, derivs=None):
-        calls.append(s_arr.size)
-        return original(self, s_arr, derivs)
+    def counting(c1, c2, s, derivs):
+        calls.append(np.size(s))
+        return original(c1, c2, s, derivs)
 
-    monkeypatch.setattr(NurbsCurve, "_curvature_values", counting)
+    monkeypatch.setattr(geometry, "offset_curvatures", counting)
     rng = np.random.default_rng(12)
     curves = [random_heading_path(rng) for _ in range(10)] + [wiggly()]
     for c in curves:
@@ -337,16 +338,16 @@ def test_max_curvature_from_sampled_grid(monkeypatch):
     grid = np.linspace(0.0, 1.0, 256)
     sampled = [c.curvatures(grid) for c in curves]
     calls = []
-    original = NurbsCurve._curvature_values
+    original = geometry.offset_curvatures
 
-    def counting(self, s_arr, derivs=None):
-        calls.append(s_arr.size)
-        return original(self, s_arr, derivs)
+    def counting(c1, c2, s, derivs):
+        calls.append(np.size(s))
+        return original(c1, c2, s, derivs)
 
-    monkeypatch.setattr(NurbsCurve, "_curvature_values", counting)
+    monkeypatch.setattr(geometry, "offset_curvatures", counting)
     for c, kappa, ref in zip(curves, sampled, expected):
         calls.clear()
-        assert c.max_curvature(256, kappa=kappa) == ref
+        assert geometry.peak_curvature(c.curvatures, grid, kappa) == ref
         assert 256 not in calls
 
 
@@ -722,6 +723,8 @@ def test_invalid_inputs_rejected():
         (lambda: validate_knots(knots, 0), "degree"),
         (lambda: validate_knots(np.array([0.0, 0.0, 0.5, 0.5, 1.0, 1.0]), 1),
          "multiplicity"),
+        (lambda: validate_knots(np.repeat([0.0, 0.5, 1.0], 4), 3),
+         "multiplicity"),
         (lambda: NurbsCurve(degree=1, control_points=np.zeros((2, 2)),
                             weights=np.array([1.0, -1.0]), knots=knots),
          "strictly positive"),
@@ -744,6 +747,10 @@ def test_invalid_inputs_rejected():
     ]:
         with pytest.raises(ValueError, match=match):
             call()
+    # The multiplicity bound's edges: an interior knot as often as the
+    # degree, and an interior shorter than the degree, are valid.
+    validate_knots(np.repeat([0.0, 0.5, 1.0], [4, 3, 4]), 3)
+    validate_knots(np.array([0.0] * 4 + [0.3, 0.6] + [1.0] * 4), 3)
 
 
 def test_clamped_uniform_knots_layout():

@@ -67,12 +67,25 @@ def test_planner_config_and_waypoint_validation():
                           ({"r_safe": 0.0}, "radii"),
                           ({"r_view": -1.0}, "radii"),
                           ({"r_u": -1.0}, "radii"),
-                          ({"n_interior": 0}, "interior")]:
+                          ({"n_interior": 0}, "interior"),
+                          ({"waypoint_tolerance": 0.0}, "waypoint_tolerance"),
+                          ({"waypoint_tolerance": -1.0},
+                           "waypoint_tolerance")]:
         with pytest.raises(ValueError, match=match):
             PlannerConfig(**fields)
     for position, heading in (([0.0, math.nan], 0.0), ([0.0, 0.0], math.inf)):
         with pytest.raises(ValueError, match="finite"):
             Waypoint(position=np.array(position), heading=heading)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["t_replan", "tau", "kappa_max", "r_u",
+                                  "r_safe", "r_view", "waypoint_tolerance"])
+def test_planner_config_rejects_non_finite_values(name, value):
+    # NaN fails every comparison, so a bound written as `x <= 0` lets it
+    # through.
+    with pytest.raises(ValueError, match="finite"):
+        PlannerConfig(**{name: value})
 
 
 def test_delta_bounds_layout():
@@ -205,8 +218,7 @@ def test_verification_keeps_the_search_samples(monkeypatch):
                                   + [base]):
             for density in (4, 1):
                 kernel.score(curve.homogeneous.T,
-                             lambda: curve.length_grid[1][None],
-                             lambda _: curve, density)
+                             lambda: curve.length_grid[1][None], density)
             (points4, kappa4), (points1, kappa1) = scored[-2:]
             assert kappa4.shape == (1, 4 * (config.n_curv_samples - 1) + 1)
             assert np.array_equal(points4[:, :, ::4], points1)
@@ -389,23 +401,61 @@ def test_batch_kernel_without_movers_reads_only_feasible_lengths():
     _check_kernel_rows(base, xs, lengths, violations, statics, [], config)
 
 
-def test_batch_kernel_zero_tangent_takes_offset_curvature():
+def test_batch_kernel_zero_tangent_takes_offset_curvature(monkeypatch):
     # Moving the first movable point by -C'(u) / B_4'(u) stops the tangent
-    # at a curvature-grid parameter u, where the kernel hands the row to
-    # the curve's own symmetric-offset rule.
+    # at a curvature-grid parameter u. The kernel takes that sample by the
+    # curve's symmetric-offset rule, from the row itself, builds no curve,
+    # and keeps every other sample as the grid basis gives it.
     config = fast_config(n_interior=2)
     w0 = Waypoint(position=np.array([0.0, 0.0]), heading=0.3)
     w1 = Waypoint(position=np.array([100.0, 10.0]), heading=-0.2)
     base = initial_path(w0, w1, config)
-    u = np.linspace(0.0, 1.0, config.n_curv_samples)[22:23]
+    grid = np.linspace(0.0, 1.0, config.n_curv_samples)
+    u = grid[22:23]
     db4 = geometry.piece_basis(base.knots, base.degree, u, 1)[1][0, 4]
     x = geometry.neutral_delta(base)
     geometry.split_delta(x)[0][0] = -base.derivatives(u, order=1)[1][0] / db4
     curve = geometry.apply_delta(base, x)
     assert np.linalg.norm(curve.derivatives(u, order=1)[1]) < geometry.EPS_TANGENT
-    lengths, violations = _CycleKernel(base, [], [], config, 15.0).evaluate(x[None])
+    kernel = _CycleKernel(base, [], [], config, 15.0)
+
+    def no_curve(*args):
+        raise AssertionError("the kernel built a curve")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "apply_delta", no_curve)
+        lengths, violations = kernel.evaluate(x[None])
     assert violations[0, 1] > 0.0
     _check_kernel_rows(base, x[None], lengths, violations, [], [], config)
+
+    # A tangent stopped at s = 0, by a doubled first control point (the
+    # next one lifted off the heading, so the start bends), reads the
+    # inward offset in the kernel and on the curve alike.
+    pts = np.array(base.control_points)
+    pts[1] = pts[0]
+    pts[2] += [0.0, 5.0]
+    doubled = NurbsCurve(degree=base.degree, control_points=pts,
+                         weights=base.weights, knots=base.knots)
+    inward = doubled.curvatures([geometry.CURV_OFFSET])[0]
+    assert inward > 100.0
+    assert doubled.curvatures([0.0])[0] == pytest.approx(inward, rel=1e-12)
+    # Each stalled sample against the curve's own offset rule. At u the
+    # tangent stops where interior terms cancel, and the offset curvature
+    # beside it is ill-conditioned: the curve's coefficients and the
+    # kernel's basis, two orders of summation, differ there by 1.6e-6
+    # relative. At s = 0 they agree to rounding.
+    for row, stall, rel in ((curve, 22, 1e-5), (doubled, 0, 1e-12)):
+        rows = row.homogeneous.T
+        kappa = kernel.score(rows, lambda: row.length_grid[1][None])[1][0]
+        _, c1, c2 = geometry.rational_derivatives(
+            [(rows @ b[::4].T).reshape(3, 1, -1) for b in kernel.basis])
+        own, ok = geometry.curvature_values(c1[:, 0], c2[:, 0])
+        assert np.array_equal(np.nonzero(~ok)[0], [stall])
+        ref = row.curvatures(grid[stall:stall + 1])[0]
+        assert abs(kappa[stall] - ref) <= rel * ref, (kappa[stall], ref)
+        # The row's other samples are the kernel's own, bit for bit.
+        assert np.array_equal(kappa[ok], own[ok])
+    assert kappa[0] == pytest.approx(inward, rel=1e-12)
 
 
 def test_piece_form_cache_builds_each_knot_vector_once(monkeypatch):
