@@ -41,10 +41,10 @@ velocity-obstacle rule decides where the samples go; this module places
 and evaluates them.
 
 The two curvature rules are stated once, over values the caller
-supplies: the vanishing-tangent rule (`offset_curvatures`) and the
-zoom on the curvature peak (`peak_curvature`). A curve applies them to
-its own samples, and the planner's search kernel to the samples it
-takes through `piece_basis`.
+supplies: the curvature of a sample (`curvature_values`, which reads a
+vanishing tangent as KAPPA_STALL) and the zoom on the curvature peak
+(`peak_curvature`). A curve applies them to its own samples, and the
+planner's search kernel to the samples it takes through `piece_basis`.
 
 The planner's decision vector is stated here and nowhere else. On a
 heading path of n control points, the PINNED points at each end (the
@@ -76,9 +76,12 @@ W_MAX = 10.0
 # vector: the endpoint and its collinear triple.
 PINNED = 4
 
-# Below this tangent norm the curvature is taken from a symmetric offset.
+# At or below this tangent norm a sample is a cusp, whose curvature is
+# unbounded. It reads KAPPA_STALL: above every curvature bound a scenario
+# admits (at most 1e9), so the sample is infeasible, and finite, so a sum
+# of a few hundred such samples stays finite.
 EPS_TANGENT = 1e-9
-CURV_OFFSET = 1e-6
+KAPPA_STALL = 1.0 / EPS_TANGENT**2
 
 # Closest-point projection parameters.
 PROJ_GRID = 64
@@ -180,42 +183,15 @@ def rational_derivatives(hom: list) -> list:
     return out
 
 
-def curvature_values(c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def curvature_values(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Unsigned curvature |C' x C''| / |C'|^3 from derivatives with
-    components first, and the mask where it is defined (tangent norm
-    above EPS_TANGENT); zero elsewhere."""
+    components first (shape (2,) + S for any sample shape S); KAPPA_STALL
+    where the tangent norm is at or below EPS_TANGENT."""
     speed2 = c1[0] * c1[0] + c1[1] * c1[1]
     cross = c1[0] * c2[1] - c1[1] * c2[0]
     ok = speed2 > EPS_TANGENT**2
-    kappa = np.where(ok, np.abs(cross) / np.where(ok, speed2, 1.0) ** 1.5, 0.0)
-    return kappa, ok
-
-
-def offset_curvatures(c1: np.ndarray, c2: np.ndarray, s: np.ndarray,
-                      derivs) -> np.ndarray:
-    """Curvature of curves at the parameters s, from their C' and C''
-    there, components first (shape (2,) + S for any sample shape S; s
-    broadcasts to S, so one grid serves a stack of curves).
-
-    Each sample keeps its `curvature_values` unless its tangent vanishes
-    there, a parametric slowdown. Such a sample takes the larger curvature
-    from a symmetric offset of CURV_OFFSET instead of dividing by a
-    vanishing tangent; within CURV_OFFSET of a domain end only the inward
-    offset exists. One level only, with no recursion: where an offset's
-    tangent vanishes too (a stationary stretch), it reads zero.
-    `derivs(x)` gives C' and C'' of the same curves at parameters x of
-    shape S, each sample at its own; it is called, twice, only when some
-    tangent vanishes, with the offsets in place of those samples'
-    parameters.
-    """
-    kappa, ok = curvature_values(c1, c2)
-    if ok.all():
-        return kappa
-    off = np.where(ok, 0.0, CURV_OFFSET)
-    lo, hi = s - off, s + off
-    lo, hi = np.where(lo < 0.0, hi, lo), np.where(hi > 1.0, lo, hi)
-    k_lo, k_hi = (curvature_values(*derivs(x))[0] for x in (lo, hi))
-    return np.where(ok, kappa, np.maximum(k_lo, k_hi))
+    return np.where(ok, np.abs(cross) / np.where(ok, speed2, 1.0) ** 1.5,
+                    KAPPA_STALL)
 
 
 def peak_curvature(curvatures, grid: np.ndarray,
@@ -667,21 +643,15 @@ class NurbsCurve:
         return c0
 
     def curvatures(self, s) -> np.ndarray:
-        """Curvature values for an array of parameters, by the
-        vanishing-tangent rule of `offset_curvatures`."""
-        s_arr = self._params(s)
-        _, c1, c2 = self._derivs(s_arr, 2)
-        return offset_curvatures(c1, c2, s_arr,
-                                 lambda x: self._derivs(x, 2)[1:])
+        """Curvature values for an array of parameters (`curvature_values`)."""
+        return curvature_values(*self._derivs(self._params(s), 2)[1:])
 
     def positions_and_curvatures(self, s) -> tuple[np.ndarray, np.ndarray]:
         """Points and curvatures from a single derivative evaluation. No
         package module calls it; the benchmark's tracer patches it until
         ROADMAP item 1 re-points that span."""
-        s_arr = self._params(s)
-        c0, c1, c2 = self._derivs(s_arr, 2)
-        return c0.T, offset_curvatures(c1, c2, s_arr,
-                                       lambda x: self._derivs(x, 2)[1:])
+        c0, c1, c2 = self._derivs(self._params(s), 2)
+        return c0.T, curvature_values(c1, c2)
 
     # -- arc length -------------------------------------------------------
 

@@ -232,14 +232,14 @@ class _CycleKernel:
     read from the piece table once, at the verification's density
     (4 * 63 + 1 parameters); the search reads every fourth row, its
     64-point grid, bit for bit. The curvatures follow
-    `geometry.offset_curvatures`, whose rare vanishing-tangent samples
-    `score` evaluates from their own rows, so no curve is built while the
-    search runs. The VO samples come from the rows themselves through
-    `velocity_obstacle.path_depth`. `_violations` scores the samples. The
-    search's rows (`evaluate`), one curve's (`constraint_violations`) and
-    the plan's (`verify`) all go through `score`, so they agree bit for
-    bit on shared samples. Rows are applied as given, unclipped: the
-    optimizer keeps them inside `delta_bounds`.
+    `geometry.curvature_values`, as a curve's do, so a sample whose
+    tangent vanishes reads as infeasible here and on the curve alike, and
+    no curve is built while the search runs. The VO samples come from the
+    rows themselves through `velocity_obstacle.path_depth`. `_violations`
+    scores the samples. The search's rows (`evaluate`), one curve's
+    (`constraint_violations`) and the plan's (`verify`) all go through
+    `score`, so they agree bit for bit on shared samples. Rows are applied
+    as given, unclipped: the optimizer keeps them inside `delta_bounds`.
     """
 
     def __init__(self, base: NurbsCurve, statics, dynamics,
@@ -262,29 +262,15 @@ class _CycleKernel:
         between its VO samples split into `density` (1, 2 or 4) gaps.
         `lengths()` gives their length grids (P, K + 1)
         (`geometry.edge_lengths`), called only when the VO is scored.
-        A sample whose tangent vanishes takes the offset rule of
-        `geometry.offset_curvatures` from its own row, evaluated through
-        `geometry.piece_basis` as the grid basis is; every other sample
-        keeps the value the basis gives."""
-        knots, degree = self.base.knots, self.base.degree
+        Curvatures are `geometry.curvature_values` of the basis's
+        derivatives, a vanishing tangent's sample included."""
         n_var = hom_rows.shape[0] // 3
         step = 4 // density
         # Curvature-grid derivatives of every row, shape (2, P, m).
         c0, c1, c2 = geometry.rational_derivatives(
             [(hom_rows @ b[::step].T).reshape(3, n_var, -1)
              for b in self.basis])
-
-        def offsets(x: np.ndarray) -> list:
-            """C' and C'' of each row at its own parameters x (P, m). The
-            offset tangents are ill-conditioned, so the rows are made
-            contiguous: each sum then runs in one order, whatever the
-            layout of the rows or their number."""
-            hom = np.ascontiguousarray(hom_rows).reshape(3, n_var, 1, -1)
-            return geometry.rational_derivatives(
-                [(hom * b.reshape(*x.shape, -1)).sum(axis=-1)
-                 for b in geometry.piece_basis(knots, degree, x.ravel(), 2)])[1:]
-
-        kappa = geometry.offset_curvatures(c1, c2, self.grid[::step], offsets)
+        kappa = geometry.curvature_values(c1, c2)
         # Freed before the VO builds the length grid, whose temporaries
         # would otherwise raise the peak of live arrays: every new peak
         # costs minor page faults (ROADMAP item 13).
@@ -292,8 +278,9 @@ class _CycleKernel:
         return _violations(
             c0, kappa, self.sensed,
             lambda: velocity_obstacle.path_depth(
-                knots, degree, hom_rows, lengths(), self.speed, self.movers,
-                self.config.tau, density * (N_VO_SAMPLES - 1) + 1),
+                self.base.knots, self.base.degree, hom_rows, lengths(),
+                self.speed, self.movers, self.config.tau,
+                density * (N_VO_SAMPLES - 1) + 1),
             self.centers, self.clearance, self.config), kappa
 
     def evaluate(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

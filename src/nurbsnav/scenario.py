@@ -122,8 +122,8 @@ def _point(value, context: str) -> np.ndarray:
 
 # Optional keys: file key -> (field it sets, validator). A key the file
 # leaves out is not passed, so the field keeps its class default.
-# The integer settings that size memory have an upper bound; `budget` and
-# `max_steps` cost time only and have none.
+# The integer settings that size memory or the time of one replan have an
+# upper bound; `max_steps` caps the mission's time and has none.
 _PLANNER_KEYS = {"T_s": ("t_replan", _positive), "tau": ("tau", _number),
                  # A knot vector's cached entry (piece table and length
                  # basis) holds about K * 19 * n floats, with
@@ -133,7 +133,10 @@ _PLANNER_KEYS = {"T_s": ("t_replan", _positive), "tau": ("tau", _number),
                  "n_interior": ("n_interior", _at_least(1, 100)),
                  "waypoint_tolerance": ("waypoint_tolerance", _positive),
                  "budget_mode": ("budget_mode", _boolean)}
-_OPTIMIZER_KEYS = {"budget": ("budget", _at_least(1)),
+_OPTIMIZER_KEYS = {# A budget-mode cycle spends all of it: about 100 us an
+                   # evaluation against bench.json's five movers on a
+                   # 2-core host, so ~10 s a cycle at 100,000.
+                   "budget": ("budget", _at_least(1, 100_000)),
                    # The first budget-mode chunk pushes all n_init rows
                    # through the search kernel at once: ~70 MB at 1,000
                    # rows on 100 interior points.
@@ -246,12 +249,20 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"planner: {exc}") from exc
 
-    sim = _object(data.get("sim", {}), "sim")
+    sim = _given(_object(data.get("sim", {}), "sim"), _SIM_KEYS, "sim")
+    # A mission replans every T_s / dt steps; one replan period must fit
+    # in the step cap, which also keeps that count finite.
+    dt = sim.get("dt_sim")
+    max_steps = sim.get("max_steps", Scenario.max_steps)
+    if dt is not None and planner.t_replan / dt > max_steps:
+        raise ScenarioError(
+            f"sim.dt: must be at least planner.T_s / sim.max_steps "
+            f"({planner.t_replan / max_steps:g} s), got {dt!r}")
     return Scenario(uav_start=start, uav_heading=heading, uav_speed=speed,
                     waypoints=waypoints, statics=statics, dynamics=dynamics,
                     planner=planner, name=name,
                     **_given(pl, {"seed": ("seed", _at_least(0))}, "planner"),
-                    **_given(sim, _SIM_KEYS, "sim"))
+                    **sim)
 
 
 def load_scenario(path) -> Scenario:

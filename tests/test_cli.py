@@ -120,6 +120,7 @@ def _patched(section: str, key: str, value, index: int | None = None) -> dict:
 @pytest.mark.parametrize("data, field", [
     (_patched("planner", "budget", "x"), "planner.budget"),
     (_patched("planner", "budget", 0), "planner.budget"),
+    (_patched("planner", "budget", 1e308), "planner.budget"),
     (_patched("sim", "max_steps", -5), "sim.max_steps"),
     (tiny_scenario(static_obstacles=[{"center": [50.0, 30.0], "radius": -2.0}]),
      "static_obstacles[0].radius"),
@@ -160,7 +161,11 @@ def _patched(section: str, key: str, value, index: int | None = None) -> dict:
     # Valid alone, but not below the default tau of 3 s.
     (_patched("planner", "T_s", 5),
      "planner.tau: must exceed planner.T_s (5 s), got 3"),
-], ids=["budget-not-a-number", "budget-zero", "max-steps-negative",
+    # A replan period of T_s / dt steps, infinite or beyond the step cap.
+    (_patched("sim", "dt", 5e-324), "sim.dt"),
+    (_patched("sim", "dt", 1e-300), "sim.dt"),
+], ids=["budget-not-a-number", "budget-zero", "budget-huge",
+         "max-steps-negative",
         "static-radius-negative", "dynamic-radius-zero",
         "waypoint-repeats-previous", "waypoint-equals-start",
         "waypoint-not-an-object", "statics-not-a-list", "sim-not-an-object",
@@ -170,7 +175,7 @@ def _patched(section: str, key: str, value, index: int | None = None) -> dict:
         "n-interior-beyond-float-range", "n-interior-huge",
         "n-interior-above-bound", "n-init-huge", "n-init-above-bound",
         "t-s-zero", "t-s-negative", "tau-not-above-t-s",
-        "t-s-not-below-tau"])
+        "t-s-not-below-tau", "dt-subnormal", "dt-tiny"])
 def test_invalid_field_exit_code(tmp_path, capsys, data, field):
     path = write_scenario(tmp_path, data)
     code = main(["--scenario", str(path), "--mode", "validate"])
@@ -250,6 +255,19 @@ def test_extreme_values_exit_bad_input(tmp_path, capsys, mode, section, key,
     assert code == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_subnormal_sim_dt_exits_bad_input_in_mission_mode(tmp_path, capsys):
+    # T_s / dt overflows to inf, which the mission loop once rounded to
+    # its replan period: an OverflowError traceback and exit 1.
+    path = write_scenario(tmp_path, _patched("sim", "dt", 5e-324))
+    out = tmp_path / "out"
+    code = main(["--scenario", str(path), "--mode", "mission",
+                 "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: sim.dt: ") and err.count("\n") == 1, err
     assert not out.exists()
 
 

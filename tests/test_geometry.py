@@ -18,6 +18,7 @@ from nurbsnav.geometry import (PINNED, HeadingSpec, NurbsCurve, W_MIN,
                                locate_piece, movable_count, neutral_delta,
                                piece_basis, piece_map, rational_derivatives,
                                split_delta, validate_knots)
+from nurbsnav.scenario import MAX_MAGNITUDE
 
 
 def segment(p0=(0.0, 0.0), p1=(10.0, 0.0)) -> NurbsCurve:
@@ -212,25 +213,27 @@ def test_quarter_circle_unit_curvature():
     assert np.max(np.abs(quarter_circle().curvatures(s) - 1.0)) <= 1e-6
 
 
-def test_zero_tangent_at_domain_end_uses_inward_offset():
-    # A doubled first control point stops the tangent at s = 0; the
-    # symmetric offset used to clamp back onto the same end and recurse
-    # without end. Reversed, the same happens at s = 1.
+def test_zero_tangent_at_domain_end_reads_stall():
+    # A doubled first control point stops the tangent at s = 0: a cusp,
+    # whose curvature is unbounded, so the sample reads KAPPA_STALL, above
+    # any curvature bound a scenario admits. Reversed, the same happens at
+    # s = 1. Beside the stop the curvature is finite.
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 10.0]])
     knots = clamped_uniform_knots(4, 3)
     c = NurbsCurve(degree=3, control_points=pts, weights=np.ones(4), knots=knots)
     r = NurbsCurve(degree=3, control_points=pts[::-1].copy(), weights=np.ones(4),
                    knots=knots)
-    assert c.curvatures([0.0])[0] == pytest.approx(c.curvatures([1e-6])[0],
-                                                   rel=1e-12)
-    assert r.curvatures([1.0])[0] == pytest.approx(r.curvatures([1.0 - 1e-6])[0],
-                                                   rel=1e-12)
+    assert c.curvatures([0.0])[0] == geometry.KAPPA_STALL
+    assert r.curvatures([1.0])[0] == geometry.KAPPA_STALL
+    assert geometry.KAPPA_STALL > MAX_MAGNITUDE
     # Near the stop the curve is (30 s^2, 10 s^3): curvature 1 / (120 s).
-    assert c.curvatures([0.0])[0] == pytest.approx(1.0 / 120e-6, rel=1e-4)
+    assert c.curvatures([1e-6])[0] == pytest.approx(1.0 / 120e-6, rel=1e-4)
+    assert r.curvatures([1.0 - 1e-6])[0] == pytest.approx(1.0 / 120e-6,
+                                                          rel=1e-4)
     for curve in (c, r):
         ends = curve.curvatures([0.0, 1.0])
         peak, _ = curve.max_curvature(64)
-        assert np.all(np.isfinite(ends)) and np.isfinite(peak)
+        assert ends.max() == geometry.KAPPA_STALL
         assert peak >= ends.max()
 
 
@@ -313,13 +316,13 @@ def test_max_curvature_matches_golden_section():
 
 def test_max_curvature_evaluation_count(monkeypatch):
     calls = []
-    original = geometry.offset_curvatures
+    original = geometry.curvature_values
 
-    def counting(c1, c2, s, derivs):
-        calls.append(np.size(s))
-        return original(c1, c2, s, derivs)
+    def counting(c1, c2):
+        calls.append(np.size(c1[0]))
+        return original(c1, c2)
 
-    monkeypatch.setattr(geometry, "offset_curvatures", counting)
+    monkeypatch.setattr(geometry, "curvature_values", counting)
     rng = np.random.default_rng(12)
     curves = [random_heading_path(rng) for _ in range(10)] + [wiggly()]
     for c in curves:
@@ -338,13 +341,13 @@ def test_max_curvature_from_sampled_grid(monkeypatch):
     grid = np.linspace(0.0, 1.0, 256)
     sampled = [c.curvatures(grid) for c in curves]
     calls = []
-    original = geometry.offset_curvatures
+    original = geometry.curvature_values
 
-    def counting(c1, c2, s, derivs):
-        calls.append(np.size(s))
-        return original(c1, c2, s, derivs)
+    def counting(c1, c2):
+        calls.append(np.size(c1[0]))
+        return original(c1, c2)
 
-    monkeypatch.setattr(geometry, "offset_curvatures", counting)
+    monkeypatch.setattr(geometry, "curvature_values", counting)
     for c, kappa, ref in zip(curves, sampled, expected):
         calls.clear()
         assert geometry.peak_curvature(c.curvatures, grid, kappa) == ref

@@ -401,11 +401,11 @@ def test_batch_kernel_without_movers_reads_only_feasible_lengths():
     _check_kernel_rows(base, xs, lengths, violations, statics, [], config)
 
 
-def test_batch_kernel_zero_tangent_takes_offset_curvature(monkeypatch):
+def test_batch_kernel_zero_tangent_reads_infeasible(monkeypatch):
     # Moving the first movable point by -C'(u) / B_4'(u) stops the tangent
-    # at a curvature-grid parameter u. The kernel takes that sample by the
-    # curve's symmetric-offset rule, from the row itself, builds no curve,
-    # and keeps every other sample as the grid basis gives it.
+    # at a curvature-grid parameter u: a cusp, whose curvature is
+    # unbounded. The kernel reads the sample as KAPPA_STALL, as the curve
+    # does, builds no curve, and rates the row infeasible.
     config = fast_config(n_interior=2)
     w0 = Waypoint(position=np.array([0.0, 0.0]), heading=0.3)
     w1 = Waypoint(position=np.array([100.0, 10.0]), heading=-0.2)
@@ -425,37 +425,57 @@ def test_batch_kernel_zero_tangent_takes_offset_curvature(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(geometry, "apply_delta", no_curve)
         lengths, violations = kernel.evaluate(x[None])
-    assert violations[0, 1] > 0.0
+    m = config.n_curv_samples - 1
+    assert violations[0, 1] >= (geometry.KAPPA_STALL - config.kappa_max) / m
     _check_kernel_rows(base, x[None], lengths, violations, [], [], config)
 
     # A tangent stopped at s = 0, by a doubled first control point (the
-    # next one lifted off the heading, so the start bends), reads the
-    # inward offset in the kernel and on the curve alike.
+    # next one lifted off the heading, so the start bends).
     pts = np.array(base.control_points)
     pts[1] = pts[0]
     pts[2] += [0.0, 5.0]
     doubled = NurbsCurve(degree=base.degree, control_points=pts,
                          weights=base.weights, knots=base.knots)
-    inward = doubled.curvatures([geometry.CURV_OFFSET])[0]
-    assert inward > 100.0
-    assert doubled.curvatures([0.0])[0] == pytest.approx(inward, rel=1e-12)
-    # Each stalled sample against the curve's own offset rule. At u the
-    # tangent stops where interior terms cancel, and the offset curvature
-    # beside it is ill-conditioned: the curve's coefficients and the
-    # kernel's basis, two orders of summation, differ there by 1.6e-6
-    # relative. At s = 0 they agree to rounding.
-    for row, stall, rel in ((curve, 22, 1e-5), (doubled, 0, 1e-12)):
-        rows = row.homogeneous.T
-        kappa = kernel.score(rows, lambda: row.length_grid[1][None])[1][0]
-        _, c1, c2 = geometry.rational_derivatives(
-            [(rows @ b[::4].T).reshape(3, 1, -1) for b in kernel.basis])
-        own, ok = geometry.curvature_values(c1[:, 0], c2[:, 0])
-        assert np.array_equal(np.nonzero(~ok)[0], [stall])
-        ref = row.curvatures(grid[stall:stall + 1])[0]
-        assert abs(kappa[stall] - ref) <= rel * ref, (kappa[stall], ref)
-        # The row's other samples are the kernel's own, bit for bit.
-        assert np.array_equal(kappa[ok], own[ok])
-    assert kappa[0] == pytest.approx(inward, rel=1e-12)
+    # The stalled sample alone reads KAPPA_STALL, bit for bit in the kernel
+    # and on the curve, and the row's violations are those of the curve.
+    for row, stall in ((curve, 22), (doubled, 0)):
+        (v,), (kappa,) = kernel.score(row.homogeneous.T,
+                                      lambda: row.length_grid[1][None])
+        assert np.array_equal(np.nonzero(kappa == geometry.KAPPA_STALL)[0],
+                              [stall])
+        assert row.curvatures(grid[stall:stall + 1])[0] == kappa[stall]
+        assert np.array_equal(v, constraint_violations(row, [], [], config,
+                                                       15.0))
+        assert v[1] >= (geometry.KAPPA_STALL - config.kappa_max) / m
+
+
+def test_fully_stalled_rows_score_finite_at_verify_density():
+    # Every control point on one spot: every tangent vanishes and the path
+    # has zero length. At the verification's 4x density, with a disc
+    # and a mover in view, each violation stays finite (a RuntimeWarning
+    # fails the test) and the curvature one reads the stalled grid.
+    config = fast_config()
+    base = initial_path(*straight_mission(100.0), config)
+    pts = np.repeat(base.control_points[:1], len(base.weights), axis=0)
+    stalled = NurbsCurve(degree=base.degree, control_points=pts,
+                         weights=base.weights, knots=base.knots)
+    statics = [StaticObstacle(center=np.array([1.0, 1.0]), radius=2.0)]
+    movers = [ObstacleState(position=np.array([20.0, 0.0]),
+                            velocity=np.array([-5.0, 0.0]), radius=2.0)]
+    kernel = _CycleKernel(base, statics, movers, config, 15.0)
+    rows = np.concatenate([stalled.homogeneous.T[:, None]] * 2, axis=1)
+    rows = rows.reshape(6, -1)
+    v, kappa = kernel.score(
+        rows, lambda: geometry.edge_lengths(base.knots, base.degree, rows), 4)
+    assert kappa.shape == (2, 4 * (config.n_curv_samples - 1) + 1)
+    assert np.all(kappa == geometry.KAPPA_STALL)
+    assert np.all(np.isfinite(v)) and np.all(v[:, :2] > 0.0)
+    assert v[0, 1] == v[1, 1] == pytest.approx(
+        (geometry.KAPPA_STALL - config.kappa_max) * kappa.shape[1]
+        / (kappa.shape[1] - 1))
+    feasible, violations = kernel.verify(stalled)
+    assert not feasible
+    assert violations["curvature"] == v[0, 1]
 
 
 def test_piece_form_cache_builds_each_knot_vector_once(monkeypatch):
