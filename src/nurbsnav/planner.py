@@ -6,9 +6,12 @@ to reach one replanning interval ahead, then searches a box of variations
 (interior control-point moves, weight shifts, endpoint spacing factors)
 with the constrained differential-evolution solver. One evaluator per
 cycle, `_CycleKernel`, built on the cut, scores the search's candidates and
-verifies the plan the cycle returns through one sampler. The tracker keeps
-following the previous curve while the next one is computed; in tests the
-two are interleaved on a fixed deterministic schedule.
+verifies the plan the cycle returns through one sampler. `replan_cycle` is
+the one place that chooses what the vehicle flies next, and labels the
+choice with its `outcome`. `mission_loop` is one loop over simulation
+steps: the tracker keeps following the previous curve while the next one
+is computed, on a fixed deterministic schedule of one cycle every
+`steps_per_replan` steps.
 """
 
 from __future__ import annotations
@@ -93,14 +96,22 @@ class PlannerConfig:
         return 1.0 / self.kappa_max
 
 
+# What a cycle returned: the search's best, the cut because the search
+# did not beat it (`_real_gain`), or the cut because it had nothing to move.
+OUTCOMES = ("searched", "kept-cut", "no-movable-points")
+
+
 @dataclass
 class ReplanResult:
+    """The plan one cycle returns, verified by the cycle's kernel, and
+    `outcome`, the one of OUTCOMES that chose it."""
     curve: NurbsCurve
     feasible: bool
     f: float  # path length of the returned curve, m
     violations: dict  # {"obstacle", "curvature", "vo"} at 4x density
     wall_time: float
     evals: int
+    outcome: str
     delta: np.ndarray | None = None
     remaining_length: float = 0.0
 
@@ -359,11 +370,13 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
                  anchor_hint: float | None = None) -> ReplanResult | None:
     """One deliberative cycle: cut, optimize the variation, verify.
 
-    Returns None when the path is exhausted (the caller switches to the
-    next waypoint). The cut is flown unchanged when it has no movable
-    points to search, or when the search does not beat it by more than
-    rounding (see _real_gain). An infeasible plan is returned flagged
-    infeasible; the tracker keeps following it and retries next cycle.
+    Returns None when the path is exhausted (the caller resets the leg).
+    Otherwise it chooses the plan, and sets `outcome` where it chooses:
+    the cut with no movable points to search ("no-movable-points"), the
+    cut that the search did not beat by more than rounding (`_real_gain`,
+    "kept-cut"), or the search's best ("searched"). An infeasible plan is
+    returned flagged infeasible; the tracker keeps following it and
+    retries next cycle.
     """
     t0 = time.perf_counter()
     cut, _ = cut_path_at_projection(curve, uav_state, config.t_replan,
@@ -373,7 +386,7 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
 
     remaining = cut.total_length()
     kernel = _CycleKernel(cut, statics, sensed, config, uav_state.speed)
-    plan, evals, delta = cut, 0, None
+    plan, evals, delta, outcome = cut, 0, None, "no-movable-points"
     if geometry.movable_count(cut) >= 1:
         lower, upper = delta_bounds(cut, config)
         problem = ProblemDef(dimension=lower.size, lower=lower, upper=upper,
@@ -384,17 +397,18 @@ def replan_cycle(curve: NurbsCurve, uav_state: UavState, sensed, config:
         if warm_delta is not None:
             warm.append(geometry.align_delta(warm_delta, cut))
         best, stats = optimize(problem, opt_cfg, warm_start=warm)
-        evals, delta = stats.evaluations, warm[0]
+        evals, delta, outcome = stats.evaluations, warm[0], "kept-cut"
         candidate = cache(partial(geometry.apply_delta, cut, best.x))
         if _real_gain(best, lambda: candidate().total_length(),
                       stats.first_violation, remaining):
-            plan, delta = candidate(), np.array(best.x)
+            plan, delta, outcome = candidate(), np.array(best.x), "searched"
 
     feasible, violations = kernel.verify(plan)
     return ReplanResult(curve=plan, feasible=feasible, f=plan.total_length(),
                         violations=violations,
                         wall_time=time.perf_counter() - t0, evals=evals,
-                        delta=delta, remaining_length=remaining)
+                        delta=delta, remaining_length=remaining,
+                        outcome=outcome)
 
 
 def cycle_seed(seed: int, cycle: int) -> int:
@@ -402,15 +416,38 @@ def cycle_seed(seed: int, cycle: int) -> int:
     return seed * 100003 + cycle
 
 
+def steps_per_replan(t_replan: float, dt: float) -> int:
+    """Simulation steps per replan: t_replan / dt, a whole number of at
+    least one (to 1e-9 relative), or ValueError. Each cycle's cut advances
+    speed * t_replan and its deadline is 0.8 * t_replan, so the loop must
+    replan every t_replan of simulated time, not a rounded share of it."""
+    ratio = t_replan / dt
+    n = round(ratio) if math.isfinite(ratio) else 0
+    if n < 1 or abs(ratio - n) > 1e-9 * n:
+        raise ValueError(f"must divide the replanning interval ({t_replan:g} s)"
+                         f" into a whole number of steps, got {dt!r}")
+    return n
+
+
 def mission_loop(waypoints: list, world: World, config: PlannerConfig,
                  seed: int, uav0: UavState, dt_sim: float,
                  max_steps: int) -> SimLog:
     """Fly the waypoint sequence from uav0: track with the vector field
-    every dt_sim seconds, replan every t_replan, stop on success, collision
-    or after max_steps simulation steps."""
+    every dt_sim seconds, replan every t_replan (`steps_per_replan`), stop
+    on the last arrival, a collision or after max_steps simulation steps.
+
+    One loop over simulation steps. Its state: the leg, the flown curve
+    `active`, the `pending` plan, the tracker's parameter `hint` and the
+    steps since the leg began. A cycle replans the pending plan when there
+    is one, else the flown curve; the pending plan is logged and flown only
+    if the cycle returns a plan. A cycle that
+    returns None (the path is consumed but the waypoint missed: tracking
+    overshoot) resets the leg to a fresh chord from the vehicle. Each
+    replan record carries the cycle's `ReplanResult.outcome`.
+    """
     if len(waypoints) < 2:
         raise ValueError("a mission needs at least two waypoints")
-    steps_per_replan = max(1, int(round(config.t_replan / dt_sim)))
+    period = steps_per_replan(config.t_replan, dt_sim)
     log = SimLog()
 
     def record(state: UavState, u: float, s_anchor: float) -> None:
@@ -423,89 +460,72 @@ def mission_loop(waypoints: list, world: World, config: PlannerConfig,
         log.clearances.append(world.min_clearance(state.position,
                                                   config.margin))
 
-    def activate(curve: NurbsCurve, leg: int) -> NurbsCurve:
+    def activate(curve: NurbsCurve) -> NurbsCurve:
         """Log the curve the tracker follows from now on."""
         log.curves.append({"t": world.clock, "leg": leg,
                            "curve": curve.to_dict()})
         return curve
 
-    def leg_path(state: UavState, leg: int) -> NurbsCurve:
-        """A fresh chord path from the current state to the leg's waypoint."""
+    def chord() -> NurbsCurve:
+        """A fresh chord path from the vehicle to the leg's waypoint: at a
+        leg's start and at an overshoot reset."""
         here = Waypoint(position=np.array(state.position),
                         heading=state.heading)
-        return activate(initial_path(here, waypoints[leg], config), leg)
+        return activate(initial_path(here, waypoints[leg], config))
 
-    state = uav0
+    state, leg, cycle = uav0, 1, 0
     record(state, 0.0, 0.0)
-    cycle = 0
-    total_steps = 0
-    for wp_idx in range(1, len(waypoints)):
-        target = waypoints[wp_idx]
-        active = leg_path(state, wp_idx)
-        pending: ReplanResult | None = None
-        warm_delta = None
-        anchor_hint = 0.0
-        leg_steps = 0
-        while float(np.linalg.norm(state.position - target.position)) \
-                > config.waypoint_tolerance:
-            if total_steps >= max_steps:
-                break
-            if leg_steps % steps_per_replan == 0:
-                # The pending plan is replanned first and flown only if the
-                # cycle returns a plan, so every logged curve is flown.
-                source, hint = (active, anchor_hint) if pending is None \
-                    else (pending.curve, 0.0)
-                sensed = world.sense(state.position, config.r_view)
-                statics = world.visible_statics(state.position, config.r_view)
-                result = replan_cycle(source, state, sensed, config,
-                                      seed=cycle_seed(seed, cycle),
-                                      statics=statics,
-                                      warm_delta=warm_delta,
-                                      anchor_hint=hint)
-                cycle += 1
-                if result is None:
-                    # The path is consumed but the waypoint was missed
-                    # (tracking overshoot): start a fresh leg path from the
-                    # current state so the field can steer back.
-                    active = leg_path(state, wp_idx)
-                    warm_delta = None
-                    anchor_hint = 0.0
-                else:
-                    if pending is not None:
-                        active = activate(pending.curve, wp_idx)
-                        anchor_hint = 0.0
-                    warm_delta = result.delta
-                    log.replans.append({
-                        "t": world.clock, "leg": wp_idx,
-                        "feasible": result.feasible, "f": result.f,
-                        "violations": result.violations,
-                        "wall_time": result.wall_time,
-                        "evals": result.evals,
-                        "remaining_length": result.remaining_length,
-                    })
-                pending = result
-
-            direction, s_anchor = vector_field(active, state.position,
-                                               config.kappa_max,
-                                               hint=anchor_hint)
-            anchor_hint = s_anchor
-            u = heading_rate_command(state, direction, config.kappa_max)
-            state = step_dubins(state, u, dt_sim, config.kappa_max)
-            world.step(dt_sim)
-            record(state, u, s_anchor)
-            event = world.check_collision(state.position, config.margin)
-            if event is not None:
-                log.collisions.append(event)
-                break
-            leg_steps += 1
-            total_steps += 1
-        else:
+    active, pending, hint, leg_steps = chord(), None, 0.0, 0
+    while True:
+        target = waypoints[leg]
+        if float(np.linalg.norm(state.position - target.position)) \
+                <= config.waypoint_tolerance:
             # The paper's desired orientation, recorded but not required.
             log.waypoint_times.append({
-                "waypoint": wp_idx, "t": world.clock,
+                "waypoint": leg, "t": world.clock,
                 "heading_error": wrap_angle(state.heading - target.heading)})
+            if leg == len(waypoints) - 1:
+                break
+            leg += 1
+            active, pending, hint, leg_steps = chord(), None, 0.0, 0
             continue
-        break  # step cap or collision
+        if len(log.times) > max_steps:
+            break
+        if leg_steps % period == 0:
+            source, source_hint = (active, hint) if pending is None \
+                else (pending.curve, 0.0)
+            result = replan_cycle(
+                source, state, world.sense(state.position, config.r_view),
+                config, seed=cycle_seed(seed, cycle),
+                statics=world.visible_statics(state.position, config.r_view),
+                warm_delta=None if pending is None else pending.delta,
+                anchor_hint=source_hint)
+            cycle += 1
+            if result is None:
+                active, hint = chord(), 0.0
+            else:
+                if pending is not None:
+                    active, hint = activate(pending.curve), 0.0
+                log.replans.append({
+                    "t": world.clock, "leg": leg, "outcome": result.outcome,
+                    "feasible": result.feasible, "f": result.f,
+                    "violations": result.violations,
+                    "wall_time": result.wall_time, "evals": result.evals,
+                    "remaining_length": result.remaining_length,
+                })
+            pending = result
+
+        direction, hint = vector_field(active, state.position,
+                                       config.kappa_max, hint=hint)
+        u = heading_rate_command(state, direction, config.kappa_max)
+        state = step_dubins(state, u, dt_sim, config.kappa_max)
+        world.step(dt_sim)
+        record(state, u, hint)
+        event = world.check_collision(state.position, config.margin)
+        if event is not None:
+            log.collisions.append(event)
+            break
+        leg_steps += 1
 
     log.success = len(log.waypoint_times) == len(waypoints) - 1
     _finalize(log)
@@ -535,6 +555,8 @@ def _finalize(log: SimLog) -> None:
         "replan_wall_time": wall_time_summary(r["wall_time"]
                                               for r in log.replans),
         "replan_count": len(log.replans),
+        "outcomes": {k: sum(r["outcome"] == k for r in log.replans)
+                     for k in OUTCOMES},
         "total_evals": int(sum(r["evals"] for r in log.replans)),
         "collision_count": len(log.collisions),
         "sim_time": log.times[-1] - log.times[0] if log.times else 0.0,

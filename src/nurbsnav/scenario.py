@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import is_leg
-from .planner import PlannerConfig, Waypoint, mission_loop
+from .planner import PlannerConfig, Waypoint, mission_loop, steps_per_replan
 from .tracking import UavState
 from .world import DynamicObstacle, SimLog, StaticObstacle, World
 
@@ -250,14 +250,19 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(f"planner: {exc}") from exc
 
     sim = _given(_object(data.get("sim", {}), "sim"), _SIM_KEYS, "sim")
-    # A mission replans every T_s / dt steps; one replan period must fit
-    # in the step cap, which also keeps that count finite.
+    # A mission replans every T_s / dt steps, a whole number
+    # (`steps_per_replan`); one replan period must fit in the step cap.
     dt = sim.get("dt_sim")
     max_steps = sim.get("max_steps", Scenario.max_steps)
-    if dt is not None and planner.t_replan / dt > max_steps:
-        raise ScenarioError(
-            f"sim.dt: must be at least planner.T_s / sim.max_steps "
-            f"({planner.t_replan / max_steps:g} s), got {dt!r}")
+    if dt is not None:
+        try:
+            period = steps_per_replan(planner.t_replan, dt)
+        except ValueError as exc:
+            raise ScenarioError(f"sim.dt: {exc}") from exc
+        if period > max_steps:
+            raise ScenarioError(
+                f"sim.dt: must be at least planner.T_s / sim.max_steps "
+                f"({planner.t_replan / max_steps:g} s), got {dt!r}")
     return Scenario(uav_start=start, uav_heading=heading, uav_speed=speed,
                     waypoints=waypoints, statics=statics, dynamics=dynamics,
                     planner=planner, name=name,

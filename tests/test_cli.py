@@ -10,7 +10,7 @@ import pytest
 
 from nurbsnav.cli import (CSV_HEADER, EXIT_BAD_INPUT, EXIT_MISSION_FAILED,
                           EXIT_OK, main)
-from nurbsnav.planner import Waypoint
+from nurbsnav.planner import OUTCOMES, Waypoint
 from nurbsnav.plot import CANVAS_H, CANVAS_W, MARGIN, TRAIL_STEPS, emit_plot
 from nurbsnav.world import DynamicObstacle, SimLog, StaticObstacle, World
 
@@ -164,6 +164,9 @@ def _patched(section: str, key: str, value, index: int | None = None) -> dict:
     # A replan period of T_s / dt steps, infinite or beyond the step cap.
     (_patched("sim", "dt", 5e-324), "sim.dt"),
     (_patched("sim", "dt", 1e-300), "sim.dt"),
+    # T_s / dt not a whole number of steps: 3.33 and 0.05.
+    (_patched("sim", "dt", 0.03), "sim.dt"),
+    (_patched("sim", "dt", 2.0), "sim.dt"),
 ], ids=["budget-not-a-number", "budget-zero", "budget-huge",
          "max-steps-negative",
         "static-radius-negative", "dynamic-radius-zero",
@@ -175,7 +178,8 @@ def _patched(section: str, key: str, value, index: int | None = None) -> dict:
         "n-interior-beyond-float-range", "n-interior-huge",
         "n-interior-above-bound", "n-init-huge", "n-init-above-bound",
         "t-s-zero", "t-s-negative", "tau-not-above-t-s",
-        "t-s-not-below-tau", "dt-subnormal", "dt-tiny"])
+        "t-s-not-below-tau", "dt-subnormal", "dt-tiny",
+        "dt-not-dividing-t-s", "dt-above-t-s"])
 def test_invalid_field_exit_code(tmp_path, capsys, data, field):
     path = write_scenario(tmp_path, data)
     code = main(["--scenario", str(path), "--mode", "validate"])
@@ -271,10 +275,26 @@ def test_subnormal_sim_dt_exits_bad_input_in_mission_mode(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sim_dt_not_dividing_t_s_exits_bad_input_in_every_mode(tmp_path,
+                                                                capsys):
+    path = write_scenario(tmp_path, _patched("sim", "dt", 0.03))
+    for mode in ("validate", "mission"):
+        out = tmp_path / mode
+        code = main(["--scenario", str(path), "--mode", mode,
+                     "--out", str(out)])
+        assert code == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: sim.dt: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
 def test_values_at_their_bounds_fly_finite(tmp_path, capsys):
+    # The largest step that divides a replanning interval: T_s = dt, with
+    # tau, which must exceed T_s, at its bound.
     data = tiny_scenario()
     data["uav"].update(kappa_max=1e-9, speed=1e9)
-    data["sim"].update(dt=1e9, max_steps=20)
+    data["planner"].update(T_s=5e8, tau=1e9)
+    data["sim"].update(dt=5e8, max_steps=20)
     path = write_scenario(tmp_path, data)
     out = tmp_path / "out"
     code = main(["--scenario", str(path), "--mode", "validate"])
@@ -353,6 +373,9 @@ def test_mission_mode_outputs(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["success"] is True
     assert metrics["collision_count"] == 0
+    # Every cycle that returned a plan is counted under its outcome.
+    assert set(metrics["outcomes"]) == set(OUTCOMES)
+    assert sum(metrics["outcomes"].values()) == metrics["replan_count"] > 0
     # The arrival's heading error is that of the trajectory row at its time.
     (arrival,) = metrics["arrivals"]
     assert arrival["waypoint"] == 1

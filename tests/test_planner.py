@@ -19,7 +19,7 @@ from nurbsnav.planner import (PlannerConfig, Waypoint, _CycleKernel,
 from nurbsnav.scenario import ScenarioError, load_scenario, parse_scenario
 from nurbsnav.tracking import UavState, wrap_angle
 from nurbsnav.velocity_obstacle import ObstacleState
-from nurbsnav.world import StaticObstacle, World
+from nurbsnav.world import DynamicObstacle, StaticObstacle, World
 
 
 def fast_config(**overrides) -> PlannerConfig:
@@ -572,6 +572,7 @@ def test_replan_dodges_corridor_blocker():
 
     result = replan_cycle(curve, state, [blocker], config, seed=0)
     assert result.feasible
+    assert result.outcome == "searched"
     assert result.violations["vo"] == 0.0
     assert result.violations["curvature"] == 0.0
 
@@ -607,6 +608,7 @@ def test_replan_keeps_cut_without_real_gain():
     cut, _ = cut_path_at_projection(curve, state, config.t_replan)
     for seed in range(3):
         result = replan_cycle(curve, state, [], config, seed=seed)
+        assert result.outcome == "kept-cut"
         assert np.array_equal(result.curve.control_points, cut.control_points)
         assert np.array_equal(result.curve.weights, cut.weights)
         assert np.array_equal(result.delta, geometry.neutral_delta(cut))
@@ -747,6 +749,8 @@ def test_stalled_deadline_mission_reaches_goal_without_leg_reset(monkeypatch):
     # Searched cycles evaluate only the probe chunk; the leg's last cycles
     # have no movable points left and search nothing.
     assert {r["evals"] for r in log.replans} == {0, lshade.N_MIN}
+    for r in log.replans:
+        assert (r["outcome"] == "no-movable-points") == (r["evals"] == 0)
 
 
 def test_disable_curvature_drops_the_curvature_family():
@@ -782,9 +786,13 @@ def test_mission_loop_reaches_goal():
     config = fast_config(waypoint_tolerance=3.0,
                          optimizer=OptimizerConfig(budget=96, n_init=24))
     w0, w1 = straight_mission(100.0)
-    log = mission_loop([w0, w1], World(), config, seed=0,
-                       uav0=UavState(w0.position, w0.heading, 15.0),
-                       dt_sim=0.01, max_steps=20000)
+
+    def fly(max_steps, world=None):
+        return mission_loop([w0, w1], world or World(), config, seed=0,
+                            uav0=UavState(w0.position, w0.heading, 15.0),
+                            dt_sim=0.01, max_steps=max_steps)
+
+    log = fly(20000)
     assert log.success
     assert not log.collisions
     final = np.asarray(log.positions[-1])
@@ -792,6 +800,24 @@ def test_mission_loop_reaches_goal():
     assert log.metrics["replan_count"] > 0
     u_max = config.kappa_max * 15.0
     assert max(abs(u) for u in log.commands) <= u_max + 1e-12
+
+    # The step cap: the flight arrives on its last step, n. Capped at n
+    # steps it still arrives and logs the same rows; capped at n - 1 it
+    # logs n rows, the start's and one a step, and no arrival.
+    n = len(log.times) - 1
+    at_cap = fly(n)
+    assert at_cap.success and at_cap.waypoint_times == log.waypoint_times
+    assert at_cap.times == log.times
+    short = fly(n - 1)
+    assert not short.success and not short.waypoint_times
+    assert len(short.times) == n
+    # A mover that appears on the goal at the arrival step: that step
+    # collides, and a step that collides logs no arrival.
+    mover = DynamicObstacle(position0=w1.position, velocity=[0.0, 0.0],
+                            radius=5.0, spawn_time=log.times[-1])
+    hit = fly(20000, World(dynamics=[mover]))
+    assert len(hit.collisions) == 1 and not hit.waypoint_times
+    assert hit.times == log.times
 
 
 def test_arrivals_record_the_heading_error():
@@ -815,7 +841,7 @@ def test_arrivals_record_the_heading_error():
     assert log.waypoint_times[1]["heading_error"] != 0.0
 
 
-def _check_overshoot_resets(origin, tol: float) -> None:
+def _check_overshoot_resets(monkeypatch, origin, tol: float) -> None:
     # At a 0.5 m tolerance the tracker runs off the end of the leg's path
     # without reaching the waypoint; the cycle then returns no plan, and
     # the loop starts a fresh chord path from the vehicle's state, which
@@ -824,10 +850,30 @@ def _check_overshoot_resets(origin, tol: float) -> None:
                          optimizer=OptimizerConfig(budget=48, n_init=16))
     w0 = Waypoint(position=np.array(origin), heading=0.0)
     w1 = Waypoint(position=np.array(origin) + [80.0, 20.0], heading=0.0)
+    original, calls = planner.replan_cycle, []
+
+    def recording(curve, state, sensed, config, **kwargs):
+        result = original(curve, state, sensed, config, **kwargs)
+        calls.append((curve, kwargs, result))
+        return result
+
+    monkeypatch.setattr(planner, "replan_cycle", recording)
     log = mission_loop([w0, w1], World(), config, seed=0,
                        uav0=UavState(w0.position, w0.heading, 15.0),
                        dt_sim=0.01, max_steps=3000)
     assert not log.collisions
+    # The loop's state: a cycle after a returned plan replans that plan
+    # from its start, warm-started from its delta; the leg's first cycle
+    # and the cycle after a reset start cold.
+    previous = None
+    for curve, kwargs, result in calls:
+        if previous is None:
+            assert kwargs["warm_delta"] is None
+        else:
+            assert curve is previous.curve
+            assert kwargs["warm_delta"] is previous.delta
+            assert kwargs["anchor_hint"] == 0.0
+        previous = result
     replan_times = {r["t"] for r in log.replans}
     # Every logged curve is flown, so no two share a time; a reset is one
     # logged at a cycle that left no replan record.
@@ -846,18 +892,19 @@ def _check_overshoot_resets(origin, tol: float) -> None:
         # The flight goes on, and the next cycles replan the fresh path.
         assert len(log.times) > i + 1
         assert any(t > rec["t"] for t in replan_times)
+    assert sum(result is None for *_, result in calls) == len(resets)
 
 
-def test_overshoot_reset_restarts_leg_from_vehicle():
-    _check_overshoot_resets([0.0, 0.0], tol=1e-9)
+def test_overshoot_reset_restarts_leg_from_vehicle(monkeypatch):
+    _check_overshoot_resets(monkeypatch, [0.0, 0.0], tol=1e-9)
 
 
-def test_overshoot_reset_at_utm_scale_coordinates():
+def test_overshoot_reset_at_utm_scale_coordinates(monkeypatch):
     # The same flight at a UTM easting and northing. A reset's chord is
     # tens of metres, inside a closeness tolerance scaled by 4e6 m, yet a
     # leg: every reset flies on. Coordinates of 4e6 m resolve 5e-10 m,
     # so the reset path's start point and heading are checked to 1e-6.
-    _check_overshoot_resets([5e5, 4e6], tol=1e-6)
+    _check_overshoot_resets(monkeypatch, [5e5, 4e6], tol=1e-6)
 
 
 def test_mission_loop_needs_two_waypoints():
