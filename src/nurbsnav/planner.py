@@ -11,7 +11,8 @@ the one place that chooses what the vehicle flies next, and labels the
 choice with its `outcome`. `mission_loop` is one loop over simulation
 steps: the tracker keeps following the previous curve while the next one
 is computed, on a fixed deterministic schedule of one cycle every
-`steps_per_replan` steps.
+`steps_per_replan` steps. A leg starts in one place in that loop, and only
+when the flight goes on, so every curve the loop logs is flown.
 """
 
 from __future__ import annotations
@@ -132,10 +133,11 @@ def delta_bounds(curve: NurbsCurve, config: PlannerConfig) -> tuple[np.ndarray, 
     return lower, upper
 
 
-def initial_path(wp_from: Waypoint, wp_to: Waypoint,
+def initial_path(wp_from: Waypoint | UavState, wp_to: Waypoint,
                  config: PlannerConfig) -> NurbsCurve:
-    """Straight-chord heading path between two waypoints; ValueError
-    unless they make a leg (`geometry.is_leg`)."""
+    """Straight-chord heading path from a pose, a waypoint or the
+    vehicle's state (only `.position` and `.heading` are read), to a
+    waypoint; ValueError unless they make a leg (`geometry.is_leg`)."""
     chord = float(np.linalg.norm(wp_to.position - wp_from.position))
     rho = config.rho_min
     # Keep the rigid collinear triples short: everything within 3 * lam0 of
@@ -438,12 +440,15 @@ def mission_loop(waypoints: list, world: World, config: PlannerConfig,
 
     One loop over simulation steps. Its state: the leg, the flown curve
     `active`, the `pending` plan, the tracker's parameter `hint` and the
-    steps since the leg began. A cycle replans the pending plan when there
+    steps since the leg began. An arrival only moves on to the next leg
+    and clears the flown curve. A leg starts in one place, after the step
+    cap is checked, so its chord path is built and logged only when the
+    flight goes on to fly it. A cycle replans the pending plan when there
     is one, else the flown curve; the pending plan is logged and flown only
-    if the cycle returns a plan. A cycle that
-    returns None (the path is consumed but the waypoint missed: tracking
-    overshoot) resets the leg to a fresh chord from the vehicle. Each
-    replan record carries the cycle's `ReplanResult.outcome`.
+    if the cycle returns a plan. A cycle that returns None (the path is consumed
+    but the waypoint missed: tracking overshoot) resets the leg to a fresh
+    chord from the vehicle. So every logged curve is flown. Each replan
+    record carries the cycle's `ReplanResult.outcome`.
     """
     if len(waypoints) < 2:
         raise ValueError("a mission needs at least two waypoints")
@@ -469,13 +474,10 @@ def mission_loop(waypoints: list, world: World, config: PlannerConfig,
     def chord() -> NurbsCurve:
         """A fresh chord path from the vehicle to the leg's waypoint: at a
         leg's start and at an overshoot reset."""
-        here = Waypoint(position=np.array(state.position),
-                        heading=state.heading)
-        return activate(initial_path(here, waypoints[leg], config))
+        return activate(initial_path(state, waypoints[leg], config))
 
-    state, leg, cycle = uav0, 1, 0
+    state, leg, cycle, active = uav0, 1, 0, None
     record(state, 0.0, 0.0)
-    active, pending, hint, leg_steps = chord(), None, 0.0, 0
     while True:
         target = waypoints[leg]
         if float(np.linalg.norm(state.position - target.position)) \
@@ -486,11 +488,12 @@ def mission_loop(waypoints: list, world: World, config: PlannerConfig,
                 "heading_error": wrap_angle(state.heading - target.heading)})
             if leg == len(waypoints) - 1:
                 break
-            leg += 1
-            active, pending, hint, leg_steps = chord(), None, 0.0, 0
+            leg, active = leg + 1, None
             continue
         if len(log.times) > max_steps:
             break
+        if active is None:
+            active, pending, hint, leg_steps = chord(), None, 0.0, 0
         if leg_steps % period == 0:
             source, source_hint = (active, hint) if pending is None \
                 else (pending.curve, 0.0)

@@ -828,9 +828,13 @@ def test_arrivals_record_the_heading_error():
                          optimizer=OptimizerConfig(budget=96, n_init=24))
     w0, w1 = straight_mission(100.0)
     w2 = Waypoint(position=np.array([160.0, 60.0]), heading=1.2)
-    log = mission_loop([w0, w1, w2], World(), config, seed=0,
-                       uav0=UavState(w0.position, w0.heading, 15.0),
-                       dt_sim=0.01, max_steps=20000)
+
+    def fly(waypoints, max_steps=20000):
+        return mission_loop(waypoints, World(), config, seed=0,
+                            uav0=UavState(w0.position, w0.heading, 15.0),
+                            dt_sim=0.01, max_steps=max_steps)
+
+    log = fly([w0, w1, w2])
     assert log.success
     assert log.metrics["arrivals"] == log.waypoint_times
     assert [a["waypoint"] for a in log.waypoint_times] == [1, 2]
@@ -839,6 +843,24 @@ def test_arrivals_record_the_heading_error():
         assert arrival["heading_error"] == wrap_angle(log.headings[i]
                                                       - wp.heading)
     assert log.waypoint_times[1]["heading_error"] != 0.0
+
+    # A leg starts only when the flight goes on, so every logged curve is
+    # flown. The step cap on the first arrival's row ends the flight
+    # there: the arrival is logged, and leg 2's path is not.
+    first = log.waypoint_times[0]
+    capped = fly([w0, w1, w2], max_steps=log.times.index(first["t"]))
+    assert capped.waypoint_times == [first]
+    assert not capped.success
+    assert capped.curves == [rec for rec in log.curves
+                             if rec["t"] < first["t"]]
+    assert {rec["leg"] for rec in capped.curves} == {1}
+    # A start inside waypoint 1's tolerance arrives at t = 0, before any
+    # path to it is built.
+    near = Waypoint(position=np.array([1.0, 0.0]), heading=0.0)
+    log = fly([w0, near, w2])
+    assert log.waypoint_times[0]["waypoint"] == 1
+    assert log.waypoint_times[0]["t"] == 0.0
+    assert log.curves and all(rec["leg"] == 2 for rec in log.curves)
 
 
 def _check_overshoot_resets(monkeypatch, origin, tol: float) -> None:
